@@ -23,7 +23,7 @@ from .simulate import (
     simulate_ensemble,
     simulate_window,
 )
-from .system import SystemSpec, derive_constants
+from .system import Report, SystemSpec, derive_constants
 
 _AUX_OUTER = 3
 _Z95 = 1.959963984540054
@@ -33,29 +33,12 @@ class ConstantsUnavailable(ValueError):
     """Closed-form constants needed by the bound are not finite/available."""
 
 
-def _json(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (np.floating, float)):
-        f = float(v)
-        return f if math.isfinite(f) else ("inf" if f > 0 else "-inf")
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_json(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_json(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _json(x) for k, x in v.items()}
-    return v
-
-
 # ---------------------------------------------------------------------------
 # per-segment second-moment bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundCheckResult:
+class BoundCheckResult(Report):
     """Comparison of the estimated segment sup-moment with its closed-form cap.
 
     ``lhs_*`` estimate ``E sup |x|^2`` over the segment (jump at the right
@@ -74,9 +57,6 @@ class BoundCheckResult:
     start_sq: float
     n_paths: int
     ok: bool
-
-    def as_dict(self) -> dict:
-        return _json(dataclasses.asdict(self))
 
 
 def verify_segment_moment_bound(
@@ -125,7 +105,7 @@ def verify_segment_moment_bound(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StabilityProbeResult:
+class StabilityProbeResult(Report):
     """Generic probe outcome: estimates with CIs plus a trend verdict."""
 
     kind: str
@@ -133,15 +113,6 @@ class StabilityProbeResult:
     rows: tuple
     verdict: bool
     notes: str
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": _json(self.params),
-            "rows": [_json(r) for r in self.rows],
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
 
 
 def probe_stability_in_probability(
@@ -238,7 +209,7 @@ def probe_mean_square(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SupermartingaleReport:
+class SupermartingaleReport(Report):
     """Per-segment comparison of skeleton expectations of a Lyapunov function.
 
     Row ``k`` holds the paired nested estimate of ``E v_{k+1} - E v_k``; the
@@ -250,14 +221,6 @@ class SupermartingaleReport:
     verdict: bool
     n_outer: int
     n_inner: int
-
-    def as_dict(self) -> dict:
-        return {
-            "rows": [_json(r) for r in self.rows],
-            "verdict": self.verdict,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-        }
 
 
 def probe_supermartingale(
@@ -362,15 +325,12 @@ def probe_supermartingale(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BlowupReport:
+class BlowupReport(Report):
     """Growth of the running sup as the impulse truncation is lifted."""
 
     rows: tuple
     verdict: bool          # median sup nondecreasing across the k_max grid
     notes: str
-
-    def as_dict(self) -> dict:
-        return {"rows": [_json(r) for r in self.rows], "verdict": self.verdict, "notes": self.notes}
 
 
 def detect_blowup(

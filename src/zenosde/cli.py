@@ -170,16 +170,17 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
 def run_check(resolved: dict, out_dir: Path | None) -> int:
     spec = spec_from_dict(resolved["config"])
     existence = check_existence_conditions(spec)
-    report = {"existence": existence.as_dict()}
+    written = existence.as_dict()
+    report = {"existence": written}
     print("existence conditions")
     print(f"  growth bound (finite C):            {'pass' if existence.growth_ok else 'FAIL'}"
-          f"  [C = {existence.as_dict()['c_growth']}]")
+          f"  [C = {written['c_growth']}]")
     print(f"  coefficient Lipschitz (finite L):   {'pass' if existence.lipschitz_ok else 'FAIL'}"
-          f"  [L = {existence.as_dict()['l_coeff']}]")
+          f"  [L = {written['l_coeff']}]")
     print(f"  impulse Lipschitz summability:      {'pass' if existence.jump_lipschitz_summable else 'FAIL'}"
-          f"  [sum L_k = {existence.as_dict()['sum_l']}]")
+          f"  [sum L_k = {written['sum_l']}]")
     print(f"  impulse size summability:           {'pass' if existence.jump_size_summable else 'FAIL'}"
-          f"  [sum gamma_k = {existence.as_dict()['sum_gamma']}]")
+          f"  [sum gamma_k = {written['sum_gamma']}]")
     print(f"  tail cutoff balance trend:          {'pass' if existence.tail_trend_ok else 'FAIL'}")
     for eps, n_eps, bal in existence.tail_rows:
         if n_eps is None:
@@ -305,9 +306,19 @@ def _add_source_args(p):
     p.add_argument("--preset", help="bundled preset name (intro, case1, case2, case3)")
 
 
-def _parse_krange(s: str):
-    lo, _, hi = s.partition(":")
-    return int(lo), int(hi)
+def _parse_list(text: str, conv, option: str) -> list:
+    try:
+        return [conv(s) for s in str(text).split(",") if s]
+    except ValueError:
+        raise ConfigError(f"{option}: expected a comma list of numbers, got {text!r}") from None
+
+
+def _parse_krange(text: str):
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ConfigError(f"--krange: expected lo:hi, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,10 +424,10 @@ def main(argv=None) -> int:
                 "dt_max": args.dt,
                 "horizon": horizon,
                 "segment": args.segment,
-                "kmax": [int(s) for s in str(args.kmax).split(",") if s],
+                "kmax": _parse_list(args.kmax, int, "--kmax"),
                 "eps1": args.eps1,
-                "deltas": [float(s) for s in str(args.deltas).split(",") if s],
-                "grid": [float(s) for s in str(args.grid).split(",") if s],
+                "deltas": _parse_list(args.deltas, float, "--deltas"),
+                "grid": _parse_list(args.grid, float, "--grid"),
                 "krange": list(_parse_krange(args.krange)),
                 "inner": args.inner,
                 "v_gamma": args.v_gamma,
@@ -430,18 +441,17 @@ def main(argv=None) -> int:
                 manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise ConfigError(f"manifest not found: {args.manifest}")
-            resolved = manifest["resolved"]
-            out = Path(args.out)
-            if resolved["command"] == "simulate":
-                return run_simulate(resolved, out)
-            if resolved["command"] == "check":
-                return run_check(resolved, out)
-            if resolved["command"] == "probe":
-                return run_probe(resolved, out)
-            raise ConfigError(f"manifest has unknown command {resolved['command']!r}")
+            runs = {"simulate": run_simulate, "check": run_check, "probe": run_probe}
+            try:
+                resolved = manifest["resolved"]
+                if resolved["command"] not in runs:
+                    raise ConfigError(f"manifest has unknown command {resolved['command']!r}")
+                return runs[resolved["command"]](resolved, Path(args.out))
+            except KeyError as exc:
+                raise ConfigError(f"{args.manifest}: missing key {exc}") from None
 
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except ValueError as exc:  # every input-validation error of the package
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

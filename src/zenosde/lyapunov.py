@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .simulate import IntegratorConfig, RngPolicy, simulate_window
-from .system import JumpFamily, SystemSpec
+from .system import JumpFamily, Report, SystemSpec
 
 _AUX_DISCRETE_OP = 2
 _AUX_WIO = 4
@@ -368,7 +369,7 @@ def _coeff_rows(family, t, y, X):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RegimeRow:
+class RegimeRow(Report):
     regime: int
     a: float
     b: float
@@ -379,22 +380,17 @@ class RegimeRow:
     switching_ok: bool           # switching_sum < growth_rhs
     drift_reading_ok: bool       # a < growth_rhs
 
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "a": self.a,
-            "b": self.b,
-            "drift_margin": self.drift_margin,
-            "switching_sum": self.switching_sum,
-            "growth_rhs": self.growth_rhs,
-            "margin_ok": self.margin_ok,
-            "switching_ok": self.switching_ok,
-            "drift_reading_ok": self.drift_reading_ok,
-        }
+
+class Witness(NamedTuple):
+    """First ``(k, h, x)`` violating the jump moment condition."""
+
+    k: int
+    h: int
+    x: float
 
 
 @dataclass(frozen=True)
-class JumpMomentReport:
+class JumpMomentReport(Report):
     """Outcome of the power-moment jump condition.
 
     The mark-averaged ``|x + g|^beta`` must stay within twice ``|x|^beta``
@@ -404,36 +400,17 @@ class JumpMomentReport:
 
     ok: bool
     worst_ratio: float
-    witness: tuple | None
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "worst_ratio": self.worst_ratio,
-            "witness": None if self.witness is None else {
-                "k": self.witness[0], "h": self.witness[1], "x": self.witness[2],
-            },
-        }
+    witness: Witness | None
 
 
 @dataclass(frozen=True)
-class LinearStabilityReport:
+class LinearStabilityReport(Report):
     epsilon: float
     beta: float
     b_max: float
     rows: tuple
     jump_moment: JumpMomentReport
     overall_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "b_max": self.b_max,
-            "rows": [r.as_dict() for r in self.rows],
-            "jump_moment": self.jump_moment.as_dict(),
-            "overall_ok": self.overall_ok,
-        }
 
     def as_text(self) -> str:
         lines = [
@@ -559,7 +536,7 @@ def check_jump_moment_condition(
             if ratios[j] > worst:
                 worst = float(ratios[j])
             if witness is None and ratios[j] > 2.0:
-                witness = (k, h, float(grid[j]))
+                witness = Witness(k, h, float(grid[j]))
     return JumpMomentReport(ok=witness is None, worst_ratio=worst, witness=witness)
 
 

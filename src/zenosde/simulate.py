@@ -18,6 +18,7 @@ over one window per call, and :func:`simulate_window` is its one-path case.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -51,10 +52,11 @@ class IntegratorConfig:
     overflow_threshold: float = 1e12
 
     def __post_init__(self):
-        if self.dt_max <= 0:
-            raise ConfigInvalid("dt_max must be positive")
-        if self.overflow_threshold <= 0:
-            raise ConfigInvalid("overflow_threshold must be positive")
+        # a NaN step never ends the step loop
+        if not 0 < self.dt_max < math.inf:
+            raise ConfigInvalid("dt_max must be positive and finite")
+        if not 0 < self.overflow_threshold < math.inf:
+            raise ConfigInvalid("overflow_threshold must be positive and finite")
         if self.record_stride < 1:
             raise ConfigInvalid("record_stride must be >= 1")
 
@@ -329,8 +331,8 @@ def simulate_batch(
     leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` (or every path, with
     ``force_sequential``) is walked step by step instead.
     """
-    if t1 <= t0:
-        raise ConfigInvalid("window must have positive length")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ConfigInvalid("window must be finite with positive length")
     n_paths = len(streams)
     if n_paths < 1:
         raise ConfigInvalid("a batch needs at least one path")
@@ -658,8 +660,8 @@ def simulate_path(
 
     ``(policy.master_seed, path_index)`` fully determines the result.
     """
-    if horizon <= 0:
-        raise ConfigInvalid("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ConfigInvalid("horizon must be positive and finite")
     streams = policy.path_streams(path_index)
     res = simulate_window(
         spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0, streams,
@@ -726,7 +728,7 @@ def simulate_ensemble(
         record_times = np.linspace(0.0, horizon, 201)
     rec = np.asarray(record_times, dtype=float)
 
-    # a block's stream bundles (about 30 kB each) live until its batch ends
+    # a block's stream bundles (about 3 kB each) live until its batch ends
     blocks = [(lo, min(lo + 8, n_paths)) for lo in range(0, n_paths, 8)]
 
     def run_block(block):
@@ -795,17 +797,3 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             row += [repr(float(v)) for v in traj.states[i]]
             row += [int(traj.regimes[i]), traj.events[i]]
             w.writerow(row)
-
-
-def ensemble_to_csv(summary: EnsembleSummary, path) -> None:
-    """Write ``t,mean_sq_norm,stderr,explosion_fraction`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "mean_sq_norm", "stderr", "explosion_fraction"])
-        for i in range(summary.times.size):
-            w.writerow([
-                repr(float(summary.times[i])),
-                repr(float(summary.mean_sq[i])),
-                repr(float(summary.stderr[i])),
-                repr(float(summary.explosion_fraction[i])),
-            ])

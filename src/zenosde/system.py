@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,40 @@ class ConfigError(ValueError):
     """Config file failed validation."""
 
 
+def json_safe(v):
+    """``v`` as plain JSON data, the one encoding of every written report.
+
+    numpy scalars and arrays become Python values and lists, tuples become
+    lists and named tuples dicts of their fields; non-finite floats become
+    the strings ``"inf"``, ``"-inf"`` and ``"nan"``, so a report never holds
+    the bare ``Infinity``/``NaN`` tokens that strict JSON parsers reject.
+    """
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return f if math.isfinite(f) else repr(f)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, np.ndarray):
+        return json_safe(v.tolist())
+    if isinstance(v, tuple) and hasattr(v, "_asdict"):
+        return json_safe(v._asdict())
+    if isinstance(v, (list, tuple)):
+        return [json_safe(x) for x in v]
+    if isinstance(v, dict):
+        return {k: json_safe(x) for k, x in v.items()}
+    return v
+
+
+class Report:
+    """Base of the report dataclasses: ``as_dict`` gives their fields as
+    :func:`json_safe` data."""
+
+    def as_dict(self) -> dict:
+        return json_safe(asdict(self))
+
+
 def _safe_exp(e: float) -> float:
     """``exp`` saturating to ``inf`` instead of overflowing."""
     return math.inf if e > 709.0 else math.exp(e)
@@ -82,6 +117,8 @@ class CoefficientFamily:
         if self.dim < 1:
             raise ConfigError("dimension must be >= 1")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not all(math.isfinite(v) for v in self.values):
+            raise ConfigError("coefficient values must be finite")
 
     @property
     def n_regimes(self) -> int:
@@ -324,6 +361,8 @@ class JumpSchedule:
         if self.kind == "harmonic-to-zero" and self.alpha <= 0:
             raise ConfigError("alpha must be positive")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if not all(map(math.isfinite, (*self.times, self.t_star, self.c, self.alpha, self.delta_min))):
+            raise ConfigError("schedule times and parameters must be finite")
 
     @property
     def concentration_point(self) -> float | None:
@@ -449,8 +488,10 @@ class SystemSpec:
             raise ConfigError(f"h0 outside 1..{self.eta_chain.n_states}")
         if self.jump.kind == "exp-mark-clamped" and len(self.jump.mark_values) != self.eta_chain.n_states:
             raise ConfigError("jump family mark values must match the mark chain")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not np.isfinite(x0).all():
+            raise ConfigError("x0 must be finite")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -578,8 +619,16 @@ def _sum_until_converged(gamma, rel_tol: float, max_terms: int) -> np.ndarray:
     raise DivergentTail(f"series did not converge within {max_terms} terms")
 
 
+class TailRow(NamedTuple):
+    """One ``eps`` of the tail-balance table; ``None`` when the tail diverges."""
+
+    eps: float
+    n_eps: int | None
+    balance: float | None
+
+
 @dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(Report):
     """Pass/fail record of the strong-existence conditions.
 
     * growth: finite ``C`` with ``|a|^2+|b|^2+|g|^2 <= C(1+|x|^2)``
@@ -596,7 +645,7 @@ class ExistenceReport:
     lipschitz_ok: bool
     jump_lipschitz_summable: bool
     jump_size_summable: bool
-    tail_rows: tuple            # ((eps, n_eps or None, balance or None), ...)
+    tail_rows: tuple            # (TailRow, ...)
     tail_trend_ok: bool
 
     @property
@@ -610,26 +659,13 @@ class ExistenceReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "growth_ok": self.growth_ok,
-            "lipschitz_ok": self.lipschitz_ok,
-            "jump_lipschitz_summable": self.jump_lipschitz_summable,
-            "jump_size_summable": self.jump_size_summable,
-            "tail_trend_ok": self.tail_trend_ok,
-            "all_ok": self.all_ok,
-            "c_growth": _json_float(self.constants.c_growth),
-            "l_coeff": _json_float(self.constants.l_coeff),
-            "sum_l": _json_float(self.constants.sum_l),
-            "sum_gamma": _json_float(self.constants.sum_gamma),
-            "tail_rows": [
-                {"eps": e, "n_eps": n, "balance": _json_float(b) if b is not None else None}
-                for e, n, b in self.tail_rows
-            ],
-        }
-
-
-def _json_float(v: float):
-    return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
+        # the constants are written flat and without their per-impulse arrays
+        d = asdict(self)
+        c = d.pop("constants")
+        return json_safe({
+            **d, "all_ok": self.all_ok,
+            **{name: c[name] for name in ("c_growth", "l_coeff", "sum_l", "sum_gamma")},
+        })
 
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -652,11 +688,11 @@ def check_existence_conditions(spec: SystemSpec, eps_grid=DEFAULT_EPS_GRID) -> E
         for eps in sorted(eps_grid, reverse=True):
             n_eps = tail_cutoff_index(spec.jump, eps)
             balance = math.log(eps) + n_eps * spec.jump.l_prefix_sum(n_eps)
-            rows.append((eps, n_eps, balance))
+            rows.append(TailRow(eps, n_eps, balance))
             balances.append(balance)
         trend_ok = all(b < a for a, b in zip(balances, balances[1:])) and len(balances) >= 2
     else:
-        rows = [(eps, None, None) for eps in sorted(eps_grid, reverse=True)]
+        rows = [TailRow(eps, None, None) for eps in sorted(eps_grid, reverse=True)]
         trend_ok = False
     return ExistenceReport(
         constants=constants,

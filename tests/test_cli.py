@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zenosde.cli import (
     EXIT_CONFIG,
     EXIT_EXPLODED,
@@ -82,6 +84,23 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     good_missing.write_text('{"horizon": 1.0}', encoding="utf-8")
     assert main(["simulate", "--config", str(good_missing), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["probe", "--preset", "intro", "--kind", "blowup", "--kmax", "5,x"], "--kmax"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--krange", "1-20"], "--krange"),
+    (["simulate", "--preset", "case2", "--dt", "-1"], "dt_max"),
+])
+def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps({"resolved": {"command": "simulate"}}), encoding="utf-8")
+    assert main(["rerun", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "'config'" in capsys.readouterr().err
 
 
 def test_probe_meansq_writes_curves(tmp_path):

@@ -8,7 +8,6 @@ from zenosde.simulate import (
     ConfigInvalid,
     IntegratorConfig,
     RngPolicy,
-    ensemble_to_csv,
     simulate_batch,
     simulate_ensemble,
     simulate_path,
@@ -204,22 +203,16 @@ def test_trajectory_csv_format(tmp_path):
     assert float(first[0]) == 0.0 and float(first[1]) == 10.0
 
 
-def test_ensemble_csv_format(tmp_path):
-    spec = make_spec(diffusion={"values": [0.2]})
-    summary = simulate_ensemble(spec, IntegratorConfig(), 1.0, 10, RngPolicy(0),
-                                record_times=np.array([0.0, 1.0]))
-    out = tmp_path / "ens.csv"
-    ensemble_to_csv(summary, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,mean_sq_norm,stderr,explosion_fraction"
-    assert len(lines) == 3
-
-
 def test_invalid_configs_raise():
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(dt_max=0.0)
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(overflow_threshold=-1.0)
+    # non-finite values would never end the step loop
+    for bad in ({"dt_max": math.nan}, {"dt_max": math.inf}, {"overflow_threshold": math.nan},
+                {"overflow_threshold": math.inf}):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            IntegratorConfig(**bad)
     spec = make_spec()
     with pytest.raises(ConfigInvalid):
         simulate_path(spec, IntegratorConfig(), -1.0, 0, RngPolicy(0))

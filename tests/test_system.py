@@ -269,6 +269,31 @@ def test_config_rejects_mismatched_regimes():
         spec_from_dict(cfg)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    (None, "horizon", math.inf),
+    ("initial", "x0", [math.nan]),
+    ("schedule", "times", [0.5, math.nan]),
+    ("schedule", "t_star", math.inf),
+    ("schedule", "c", math.nan),
+    ("schedule", "delta_min", math.nan),
+    ("drift", "values", [math.nan, 0.5]),
+])
+def test_config_rejects_non_finite_numbers(section, key, value):
+    cfg = build_preset("case2")
+    (cfg if section is None else cfg[section])[key] = value
+    with pytest.raises(ConfigError, match="finite"):
+        spec_from_dict(cfg)
+
+
+def test_load_config_rejects_infinity_token(tmp_path):
+    # json.load accepts the bare Infinity and NaN tokens
+    p = tmp_path / "inf.json"
+    text = json.dumps(build_preset("case2"), sort_keys=True)
+    p.write_text(text.replace('"horizon": 5.0', '"horizon": Infinity'), encoding="utf-8")
+    with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+        load_config(p)
+
+
 def test_load_config_reports_json_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"drift": }', encoding="utf-8")
