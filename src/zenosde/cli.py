@@ -157,10 +157,13 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
     cfg = IntegratorConfig(dt_max=resolved["dt_max"], record_stride=resolved["record_stride"])
     policy = RngPolicy(resolved["seed"])
     horizon = resolved["horizon"]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if resolved["paths"] < 1:
+        raise ConfigError("paths must be >= 1")
     any_exploded = False
     for i in range(resolved["paths"]):
         traj = simulate_path(spec, cfg, horizon, i, policy)
+        # made only once there is something to write
+        out_dir.mkdir(parents=True, exist_ok=True)
         trajectory_to_csv(traj, out_dir / f"traj_{i}.csv")
         any_exploded = any_exploded or traj.status == "exploded"
     _write_manifest(out_dir, resolved)
@@ -215,53 +218,48 @@ def run_probe(resolved: dict, out_dir: Path) -> int:
     cfg = IntegratorConfig(dt_max=resolved["dt_max"])
     policy = RngPolicy(resolved["seed"])
     kind = resolved["kind"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = resolved["paths"]
     threads = resolved["threads"]
 
+    # each kind writes <kind>.json, and <kind>.csv of its rows' fields
+    fields = None
     if kind == "bound":
         res = verify_segment_moment_bound(spec, resolved["segment"], paths, policy, cfg)
-        _dump_json(res.as_dict(), out_dir / "bound.json")
-        print(f"segment {res.segment}: lhs CI upper {res.lhs_ci_upper:.6g} vs rhs {res.rhs:.6g} "
-              f"-> {'pass' if res.ok else 'FAIL'}")
+        verdict = (f"segment {res.segment}: lhs CI upper {res.lhs_ci_upper:.6g} vs rhs {res.rhs:.6g} "
+                   f"-> {'pass' if res.ok else 'FAIL'}")
     elif kind == "prob":
         res = probe_stability_in_probability(
             spec, resolved["eps1"], resolved["horizon"], paths,
             resolved["deltas"], policy, cfg, threads=threads,
         )
-        _dump_json(res.as_dict(), out_dir / "prob.json")
         fields = ["delta", "exceedance", "stderr", "n_paths"]
-        _rows_to_csv(res.rows, fields, out_dir / "prob.csv")
-        _print_rows(res.rows, fields)
-        print(f"exceedance trend verdict: {res.verdict} ({res.notes})")
+        verdict = f"exceedance trend verdict: {res.verdict} ({res.notes})"
     elif kind == "meansq":
         res = probe_mean_square(spec, resolved["grid"], paths, policy, cfg, threads=threads)
-        _dump_json(res.as_dict(), out_dir / "meansq.json")
         fields = ["t", "mean_sq", "stderr", "median_sq", "explosion_fraction"]
-        _rows_to_csv(res.rows, fields, out_dir / "meansq.csv")
-        _print_rows(res.rows, fields)
-        print(f"mean-square decay verdict: {res.verdict}")
+        verdict = f"mean-square decay verdict: {res.verdict}"
     elif kind == "supermartingale":
         beta = resolved["v_beta"]
         v = LyapunovSpec(kind="power", gamma=resolved["v_gamma"], beta=beta,
                          regime_values=tuple(range(1, spec.n_regimes + 1)))
         lo, hi = resolved["krange"]
         res = probe_supermartingale(spec, v, range(lo, hi + 1), paths, resolved["inner"], policy, cfg)
-        _dump_json(res.as_dict(), out_dir / "supermartingale.json")
         fields = ["k", "t_lo", "t_hi", "ev_k", "ev_next", "diff", "diff_stderr", "n_alive", "ok"]
-        _rows_to_csv(res.rows, fields, out_dir / "supermartingale.csv")
-        _print_rows(res.rows, fields)
-        print(f"skeleton expectation verdict: {res.verdict}")
+        verdict = f"skeleton expectation verdict: {res.verdict}"
     elif kind == "blowup":
         res = detect_blowup(spec, resolved["kmax"], resolved["horizon"], paths, policy, cfg,
                             threads=threads)
-        _dump_json(res.as_dict(), out_dir / "blowup.json")
         fields = ["k_max", "median_sup", "max_sup", "exploded_fraction"]
-        _rows_to_csv(res.rows, fields, out_dir / "blowup.csv")
-        _print_rows(res.rows, fields)
-        print(f"blow-up growth verdict: {res.verdict}")
+        verdict = f"blow-up growth verdict: {res.verdict}"
     else:
         raise ConfigError(f"unknown probe kind {kind!r}")
+    # the output directory is made only once there is something to write
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump_json(res.as_dict(), out_dir / f"{kind}.json")
+    if fields is not None:
+        _rows_to_csv(res.rows, fields, out_dir / f"{kind}.csv")
+        _print_rows(res.rows, fields)
+    print(verdict)
     _write_manifest(out_dir, resolved)
     return EXIT_OK
 

@@ -100,11 +100,13 @@ def validate_generator(q) -> GeneratorMatrix:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
+    # a NaN fails every comparison, so the checks are written to pass only
+    # on good entries
     off = arr[~np.eye(n, dtype=bool)]
-    if off.size and off.min() < 0.0:
-        raise NegativeOffDiagonal("off-diagonal rates must be >= 0")
+    if not (np.isfinite(off) & (off >= 0.0)).all():
+        raise NegativeOffDiagonal("off-diagonal rates must be finite and >= 0")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums) > _ROW_SUM_TOL
+    bad = ~(np.abs(sums) <= _ROW_SUM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise RowSumNonZero(f"row {i} sums to {sums[i]:.3e}, expected 0")
@@ -155,10 +157,11 @@ def validate_transition_matrix(p, per_step=None) -> TransitionMatrix:
 def _check_stochastic(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0 + _ROW_SUM_TOL:
+    # written to pass only on good entries, since a NaN fails every comparison
+    if not ((arr >= 0.0) & (arr <= 1.0 + _ROW_SUM_TOL)).all():
         raise RowNotStochastic("entries must lie in [0, 1]")
     sums = arr.sum(axis=1)
-    bad = np.abs(sums - 1.0) > _ROW_SUM_TOL
+    bad = ~(np.abs(sums - 1.0) <= _ROW_SUM_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         raise RowNotStochastic(f"row {i} sums to {sums[i]:.12f}, expected 1")

@@ -30,6 +30,12 @@ from .system import SystemSpec
 _CASCADE_LIMIT = 1e250
 _CHUNK_STEPS = 8192
 
+# the hash constants of numpy.random.SeedSequence
+_MASK32 = 0xFFFFFFFF
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 class ConfigInvalid(ValueError):
     """Integrator configuration failed validation."""
@@ -92,6 +98,44 @@ class RngPolicy:
         rng = np.random.default_rng(np.random.SeedSequence((self.master_seed, tag, *key)))
         return StreamBundle(rng, rng, rng)
 
+    def aux_streams_batch(self, tag: int, keys) -> list:
+        """``[self.aux_streams(tag, *key) for key in keys]``, derived in one pass.
+
+        ``keys`` is a list of equal-length keys, or a 2-D integer array with
+        one key per row, whose elements lie in ``[0, 2**64)``.  Every
+        generator starts in the state ``SeedSequence((master_seed, tag,
+        *key))`` gives it, so its draws are bit for bit those of
+        :meth:`aux_streams`.  The pass has a fixed cost of about 0.3 ms and
+        pays off from about 15 keys on.
+        """
+        if not len(keys):
+            return []
+        arr = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.uint64)
+        if arr.ndim != 2 or arr.dtype.kind not in "iu" or (arr.size and arr.min() < 0):
+            raise ValueError("keys must be equal-length keys of non-negative integers")
+        arr = arr.astype(np.uint64)
+        prefix = _uint32_words(self.master_seed) + _uint32_words(tag)
+        high = arr >> np.uint64(32)
+        big = high != 0
+        # an element of 2**32 or more is two entropy words, so keys are mixed
+        # in groups that share one layout of their words
+        if big.any():
+            layouts, group = np.unique(big, axis=0, return_inverse=True)
+        else:
+            layouts, group = big[:1], np.zeros(len(arr), dtype=np.int64)
+        states = np.empty((len(arr), 4), dtype=np.uint64)
+        for g, layout in enumerate(layouts.tolist()):
+            rows = np.flatnonzero(group.ravel() == g)
+            cols = [np.full(rows.size, w, dtype=np.uint32) for w in prefix]
+            for c, two in enumerate(layout):
+                cols.append(arr[rows, c].astype(np.uint32))  # the low word
+                if two:
+                    cols.append(high[rows, c].astype(np.uint32))
+            states[rows] = _seed_states(np.column_stack(cols))
+        np.random.bit_generator.ISeedSequence.register(_SeedState)
+        gens = [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
+        return [StreamBundle(g, g, g) for g in gens]
+
     def aux_generator(self, tag: int, *key: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.master_seed, tag, *key)))
 
@@ -106,6 +150,81 @@ class StreamBundle:
     chain: np.random.Generator
     mark: np.random.Generator
     wiener: np.random.Generator
+
+
+class _SeedState:
+    """Seed sequence whose ``generate_state(4, np.uint64)``, all that PCG64
+    asks of it, was computed in advance.
+
+    Its use registers it as a ``numpy.random.bit_generator.ISeedSequence``;
+    subclassing that here would import ``numpy.random`` with this module,
+    about 20 ms that a run without random draws need not pay.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the four uint64 words of a PCG64 seed are held")
+        return self.state
+
+
+def _uint32_words(value: int) -> list:
+    """The uint32 words, least significant first, that ``SeedSequence``
+    makes of one non-negative entropy integer."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for every row of
+    ``words`` (uint32, one entropy per row), as array operations.
+
+    This is numpy's algorithm with its pool of four words: hash the first
+    words into the pool, mix every pool word into every other, mix in the
+    remaining words, then hash the pool out into eight words.  The hash
+    constant advances on every hash whatever the data, so one scalar serves
+    all rows; uint32 array arithmetic wraps as numpy's C code does.
+    """
+    n, length = words.shape
+    const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _SS_MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _SS_MIX_L - y * _SS_MIX_R
+        return value ^ (value >> 16)
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < length else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    out = np.empty((n, 8), dtype=np.uint32)
+    const = _SS_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _SS_MULT_B & _MASK32
+        value = value * const
+        out[:, i] = value ^ (value >> 16)
+    # pairs of words read as little-endian uint64, as numpy does
+    return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass

@@ -194,6 +194,10 @@ class JumpFamily:
             raise ConfigError("custom-sequence needs at least one map")
         object.__setattr__(self, "mark_values", tuple(float(h) for h in self.mark_values))
         object.__setattr__(self, "maps", tuple((float(s), float(o)) for s, o in self.maps))
+        # `alpha <= 0` above lets a NaN through
+        if not all(map(math.isfinite, (self.alpha, self.scale, *self.mark_values,
+                                       *(v for m in self.maps for v in m)))):
+            raise ConfigError("jump parameters (alpha, scale, mark values, maps) must be finite")
         if self.l_seq is not None:
             object.__setattr__(self, "l_seq", tuple(float(v) for v in self.l_seq))
         if self.gamma_seq is not None:
@@ -372,16 +376,12 @@ class JumpSchedule:
             return 0.0
         return None
 
-    def raw_entries(self):
-        """Untruncated (k, t_k) pairs sorted by time."""
-        if self.kind == "explicit-list":
-            entries = [(k, t) for k, t in enumerate(self.times, start=1)]
-        elif self.kind == "harmonic-to-point":
-            entries = [(k, self.t_star - self.c / k) for k in range(1, self.k_max + 1)]
-        else:
-            entries = [(k, self.alpha / k) for k in range(1, self.k_max + 1)]
-        entries.sort(key=lambda e: e[1])
-        return entries
+    def harmonic_times(self, ks: np.ndarray) -> np.ndarray:
+        """Times of the jumps ``ks`` of a harmonic schedule, computed with the
+        float operations of their definition."""
+        if self.kind == "harmonic-to-point":
+            return self.t_star - self.c / ks
+        return self.alpha / ks
 
 
 @dataclass(frozen=True)
@@ -421,18 +421,23 @@ def generate_schedule(schedule: JumpSchedule) -> ScheduleRealization:
 
 
 def _realize_allow_empty(schedule: JumpSchedule) -> ScheduleRealization:
-    raw = schedule.raw_entries()
-    total = len(raw)
-    by_index = sorted(raw)
     # gaps between adjacent indices shrink towards the concentration point;
     # the first too-small gap cuts the whole remaining tail so the realized
     # index sequence stays contiguous from k = 1
-    cutoff = schedule.k_max
-    for (k0, t0), (k1, t1) in zip(by_index, by_index[1:]):
-        if abs(t1 - t0) < schedule.delta_min:
-            cutoff = min(cutoff, k0)
-            break
-    kept = sorted(((k, t) for k, t in raw if k <= cutoff), key=lambda e: e[1])
+    if schedule.kind == "explicit-list":
+        by_index = list(enumerate(schedule.times, start=1))
+        total = len(by_index)
+        cutoff = schedule.k_max
+        for (k0, t0), (k1, t1) in zip(by_index, by_index[1:]):
+            if abs(t1 - t0) < schedule.delta_min:
+                cutoff = min(cutoff, k0)
+                break
+        kept = [(k, t) for k, t in by_index if k <= cutoff]
+    else:
+        total = schedule.k_max
+        ks = np.arange(1, _harmonic_cutoff(schedule) + 1)
+        kept = list(zip(ks.tolist(), schedule.harmonic_times(ks).tolist()))
+    kept.sort(key=lambda e: e[1])
     dropped = total - len(kept)
     times = [t for _, t in kept]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -442,6 +447,33 @@ def _realize_allow_empty(schedule: JumpSchedule) -> ScheduleRealization:
         if times[-1] >= star:
             raise ConfigError("accumulating schedule must stay below its concentration point")
     return ScheduleRealization(entries=tuple(kept), n_truncated=dropped)
+
+
+def _harmonic_cutoff(schedule: JumpSchedule) -> int:
+    """The first ``k < k_max`` whose gap to jump ``k + 1`` is below
+    ``delta_min``, else ``k_max``, without building the ``k_max`` entries.
+
+    The gap ``c / (k (k + 1))`` shrinks as ``k`` grows.  Below the root of
+    ``k (k + 1) = c / (delta_min + slack)``, the slack bounding the rounding
+    of two times and their difference, no computed gap is under
+    ``delta_min``.  From there the gaps are computed as the entries compute
+    them, in chunks, up to the first one under it.
+    """
+    c = schedule.c if schedule.kind == "harmonic-to-point" else schedule.alpha
+    delta = schedule.delta_min
+    slack = 8.0 * 2.0 ** -53 * (abs(schedule.t_star) + 2.0 * c + delta)
+    root = (math.sqrt(1.0 + 4.0 * c / (delta + slack)) - 1.0) / 2.0
+    k = max(1, int(root) - 2)
+    size = 1024
+    while k < schedule.k_max:
+        ks = np.arange(k, min(k + size, schedule.k_max) + 1)
+        t = schedule.harmonic_times(ks)
+        hit = np.flatnonzero(np.abs(t[1:] - t[:-1]) < delta)
+        if hit.size:
+            return int(ks[hit[0]])
+        k = int(ks[-1])
+        size = min(2 * size, 1 << 16)
+    return schedule.k_max
 
 
 @lru_cache(maxsize=64)

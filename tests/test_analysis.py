@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -207,6 +208,26 @@ def test_supermartingale_batches_match_one_path_at_a_time():
     res = probe_supermartingale(spec, v, [1, 2, 3], 20, 10, RngPolicy(31))
     assert list(res.rows) == _supermartingale_rows_one_path_at_a_time(
         spec, v, [1, 2, 3], 20, 10, RngPolicy(31))
+
+
+@pytest.mark.parametrize("preset", ["case2", "case3"])
+def test_supermartingale_report_does_not_depend_on_the_bundle_cap(preset, monkeypatch):
+    # caps of 1, 2 and 3 outer paths per inner batch, the last leaving a
+    # short final group; case3's outer paths explode, so the alive paths are
+    # not contiguous
+    import zenosde.analysis as analysis
+
+    spec = spec_from_dict(build_preset(preset))
+    v = LyapunovSpec(kind="power", gamma=1.0, beta=0.025)
+
+    def report_json():
+        res = probe_supermartingale(spec, v, [1, 2, 3, 9, 10], 20, 10, RngPolicy(5))
+        return json.dumps(res.as_dict(), sort_keys=True)
+
+    reference = report_json()
+    for cap in (1, 25, 35):
+        monkeypatch.setattr(analysis, "_INNER_BUNDLES", cap)
+        assert report_json() == reference
 
 
 def test_supermartingale_unrealized_index_rejected():

@@ -96,6 +96,19 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["probe", "--preset", "case2", "--kind", "meansq", "--grid", "1,inf"], "window"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--inner", "0"], "n_inner"),
+    (["simulate", "--preset", "case2", "--horizon", "inf"], "horizon"),
+    (["simulate", "--preset", "case2", "--paths", "0"], "paths"),
+])
+def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "o4"
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps({"resolved": {"command": "simulate"}}), encoding="utf-8")

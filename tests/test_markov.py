@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def test_validate_generator_rejects_nonsquare_and_negative_rates():
         validate_generator([[0.0, 0.0]])
     with pytest.raises(NegativeOffDiagonal):
         validate_generator([[1.0, -1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("q", [
+    [[math.nan, 1.0], [1.0, -1.0]],
+    [[-1.0, math.nan], [1.0, -1.0]],
+    [[-1.0, 1.0], [math.nan, math.nan]],
+    [[-math.inf, math.inf], [1.0, -1.0]],
+])
+def test_validate_generator_rejects_non_finite_entries(q):
+    with pytest.raises((NegativeOffDiagonal, RowSumNonZero)):
+        validate_generator(q)
 
 
 def test_normalized_jump_matrix_rows():
@@ -139,3 +152,13 @@ def test_dtmc_rejects_bad_rows():
     with pytest.raises(IndexOutOfRange):
         tm = validate_transition_matrix([[1.0]])
         sample_dtmc_step(tm, 2, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p,per_step", [
+    ([[math.nan, 1.0], [0.5, 0.5]], None),
+    ([[0.5, 0.5], [0.5, math.nan]], None),
+    ([[1.0, 0.0], [0.0, 1.0]], [[[math.nan, 1.0], [0.0, 1.0]]]),
+])
+def test_validate_transition_matrix_rejects_nan_entries(p, per_step):
+    with pytest.raises(RowNotStochastic):
+        validate_transition_matrix(p, per_step)

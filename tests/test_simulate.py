@@ -317,3 +317,41 @@ def test_batch_cascade_fallback_is_decided_per_path():
     assert batch.x_end[0].tobytes() == walked.x_end[0].tobytes()
     assert batch.x_end[1].tobytes() != walked.x_end[1].tobytes()
     assert batch.x_end[1][0] == pytest.approx(walked.x_end[1][0], rel=1e-9)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
+@pytest.mark.parametrize("tag", [0, 3, 2**33])
+@pytest.mark.parametrize("keys", [
+    [()],
+    [(0,)],
+    [(0, 0), (0, 1), (1, 0)],
+    [(1, 2, 3), (0, 0, 0)],
+    [(5, 2**32, 0, 2**63), (5, 4, 0, 1), (2**64 - 1, 0, 2**32 - 1, 2**32)],
+])
+def test_aux_streams_batch_matches_seed_sequence(master_seed, tag, keys):
+    policy = RngPolicy(master_seed)
+    batch = policy.aux_streams_batch(tag, keys)
+    assert len(batch) == len(keys)
+    for bundle, key in zip(batch, keys):
+        assert bundle.chain is bundle.mark is bundle.wiener
+        seq = np.random.SeedSequence((master_seed, tag, *key))
+        state = seq.generate_state(4, np.uint64)
+        assert np.array_equal(bundle.wiener.bit_generator.seed_seq.generate_state(4, np.uint64), state)
+        ref = policy.aux_streams(tag, *key)
+        assert bundle.wiener.bit_generator.state == ref.wiener.bit_generator.state
+        assert bundle.wiener.standard_normal(3).tolist() == ref.wiener.standard_normal(3).tolist()
+        assert bundle.wiener.random() == ref.wiener.random()
+
+
+def test_aux_streams_batch_takes_an_array_of_keys():
+    policy = RngPolicy(901)
+    keys = np.column_stack((np.full(40, 5), np.repeat(np.arange(4), 10), np.tile(np.arange(10), 4)))
+    for bundle, key in zip(policy.aux_streams_batch(3, keys), keys.tolist()):
+        assert bundle.wiener.random() == policy.aux_streams(3, *key).wiener.random()
+    assert policy.aux_streams_batch(3, []) == []
+
+
+@pytest.mark.parametrize("keys", [[(-1,)], np.array([[0, -1]]), [(1,), (1, 2)], [(2**64,)]])
+def test_aux_streams_batch_rejects_bad_keys(keys):
+    with pytest.raises((ValueError, OverflowError)):
+        RngPolicy(0).aux_streams_batch(3, keys)

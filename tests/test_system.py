@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from zenosde.system import (
     derive_constants,
     generate_schedule,
     load_config,
+    realize_schedule,
     spec_from_dict,
     spec_to_dict,
     tail_cutoff_index,
@@ -69,6 +71,52 @@ def test_schedule_times_increase_and_stay_below_star(kind, kwargs, k_max):
     assert (np.diff(times) > 0).all()
     if kind == "harmonic-to-point":
         assert times.max() < kwargs["t_star"]
+
+
+def _realize_by_full_scan(schedule):
+    """The realization built the direct way: all ``k_max`` entries, then the
+    first gap below ``delta_min`` cuts the tail."""
+    c = schedule.c if schedule.kind == "harmonic-to-point" else schedule.alpha
+    ks = range(1, schedule.k_max + 1)
+    t = [schedule.t_star - c / k for k in ks] if schedule.kind == "harmonic-to-point" \
+        else [c / k for k in ks]
+    cutoff = next((k for k in ks[:-1] if abs(t[k] - t[k - 1]) < schedule.delta_min), schedule.k_max)
+    kept = sorted(((k, t[k - 1]) for k in range(1, cutoff + 1)), key=lambda e: e[1])
+    return tuple(kept), schedule.k_max - cutoff
+
+
+@pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
+@pytest.mark.parametrize("c,t_star", [(1.0, 2.0), (0.3, 0.5), (7.5, 1e4)])
+def test_schedule_cut_matches_full_scan(kind, c, t_star):
+    for k_max in (1, 2, 3, 17, 200, 20000):
+        for delta_min in (0.0, 1e-18, 1e-15, 3e-13, 1e-9, 2.5e-7, 1e-3, 0.1, 1.0, 10.0):
+            sched = JumpSchedule(kind=kind, c=c, alpha=c, t_star=t_star, k_max=k_max,
+                                 delta_min=delta_min)
+            entries, n_truncated = _realize_by_full_scan(sched)
+            times = [t for _, t in entries]
+            if any(b <= a for a, b in zip(times, times[1:])):
+                with pytest.raises(ConfigError, match="strictly increasing"):
+                    realize_schedule(sched)
+                continue
+            real = realize_schedule(sched)
+            assert (real.entries, real.n_truncated) == (entries, n_truncated), (k_max, delta_min)
+
+
+@pytest.mark.parametrize("preset", ["case1", "case2", "case3", "intro"])
+def test_schedule_cut_of_presets_matches_full_scan(preset):
+    sched = spec_from_dict(build_preset(preset)).schedule
+    real = realize_schedule(sched)
+    assert (real.entries, real.n_truncated) == _realize_by_full_scan(sched)
+
+
+@pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
+def test_schedule_huge_k_max_realizes_quickly(kind):
+    # the realization costs what it keeps, not k_max
+    t0 = time.perf_counter()
+    real = realize_schedule(JumpSchedule(kind=kind, k_max=10**9, delta_min=1e-9))
+    assert time.perf_counter() - t0 < 5.0
+    assert len(real.entries) == 31623
+    assert real.n_truncated == 10**9 - 31623
 
 
 def test_schedule_jumps_in_window():
@@ -277,11 +325,37 @@ def test_config_rejects_mismatched_regimes():
     ("schedule", "c", math.nan),
     ("schedule", "delta_min", math.nan),
     ("drift", "values", [math.nan, 0.5]),
+    ("jump", "alpha", math.nan),
+    ("jump", "scale", math.nan),
+    ("jump", "scale", math.inf),
 ])
 def test_config_rejects_non_finite_numbers(section, key, value):
     cfg = build_preset("case2")
     (cfg if section is None else cfg[section])[key] = value
     with pytest.raises(ConfigError, match="finite"):
+        spec_from_dict(cfg)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "exp-mark-clamped", "alpha": math.nan},
+    {"kind": "exp-mark-clamped", "scale": math.nan},
+    {"kind": "scale-poly", "scale": math.inf},
+    {"kind": "exp-mark-clamped", "mark_values": (1.0, math.nan)},
+    {"kind": "custom-sequence", "maps": ((math.nan, 0.0),)},
+])
+def test_jump_family_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        JumpFamily(**kwargs)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("xi_generator", "q", [[math.nan, 1.0], [1.0, -1.0]]),
+    ("eta_transition", "p", [[0.5, math.nan], [0.5, 0.5]]),
+])
+def test_config_rejects_nan_chain_entries(section, key, value):
+    cfg = build_preset("case2")
+    cfg[section][key] = value
+    with pytest.raises(ValueError):
         spec_from_dict(cfg)
 
 
