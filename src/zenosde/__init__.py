@@ -11,7 +11,7 @@ The package is organised around six pieces:
 * ``cli``       -- command line front end with bundled example presets
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .markov import (
     ChainPath,

@@ -136,6 +136,9 @@ def probe_stability_in_probability(
     that ``sup |x(t)|`` over the truncated horizon exceeds ``eps1``.
     Verdict: the exceedance is nonincreasing as ``delta`` decreases, within
     a three-standard-error cushion.
+
+    ``threads`` is accepted for compatibility; it no longer changes how
+    paths run (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     if eps1 <= 0:
@@ -178,6 +181,9 @@ def probe_mean_square(
     The verdict compares the last grid point against the first with a
     three-standard-error separation.  The rows also carry the median squared
     norm, which is informative when the mean is dominated by rare paths.
+
+    ``threads`` is accepted for compatibility; it no longer changes how
+    paths run (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     grid = np.asarray(sorted(float(t) for t in time_grid))
@@ -354,7 +360,11 @@ def detect_blowup(
     cfg: IntegratorConfig | None = None,
     threads: int = 1,
 ) -> BlowupReport:
-    """Sup-norm statistics as a function of the schedule truncation depth."""
+    """Sup-norm statistics as a function of the schedule truncation depth.
+
+    ``threads`` is accepted for compatibility; it no longer changes how
+    paths run (see :func:`simulate_ensemble`).
+    """
     cfg = cfg or IntegratorConfig()
     if spec.schedule.concentration_point is None:
         raise ValueError("blow-up detection applies to accumulating schedules")

@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in the manifest; does not change how paths run")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--record-stride", type=int, default=10)
     p.add_argument("--out", default="out")
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bound", "prob", "meansq", "supermartingale", "blowup"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="recorded in the manifest; does not change how paths run")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--segment", type=int, default=1)
@@ -440,6 +442,12 @@ def main(argv=None) -> int:
             except FileNotFoundError:
                 raise ConfigError(f"manifest not found: {args.manifest}")
             runs = {"simulate": run_simulate, "check": run_check, "probe": run_probe}
+            # another version's integrator would not reproduce the outputs; a
+            # manifest without a version meets the missing-key checks below
+            written_by = manifest.get("tool_version", __version__)
+            if written_by != __version__:
+                raise ConfigError(f"manifest was written by zenosde {written_by}, this is "
+                                  f"zenosde {__version__}; rerun it with {written_by}")
             try:
                 resolved = manifest["resolved"]
                 if resolved["command"] not in runs:

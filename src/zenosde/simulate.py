@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,15 +44,14 @@ class ConfigInvalid(ValueError):
 class IntegratorConfig:
     """Step-size policy and explosion threshold.
 
-    ``refine_near_star`` caps the step at half the remaining distance to the
-    next jump (down to a floor of ``1e-6 * dt_max``) so the impulses piling
-    up before a concentration point are each hit exactly with locally
-    refined resolution.  ``overflow_threshold`` marks a path as exploded,
-    which stops it cleanly instead of overflowing floats.
+    Between jumps the steps are ``dt_max`` long, the last one ending on the
+    jump, so each impulse piling up before a concentration point is hit
+    exactly; a regime switch or record time splits the step it falls in.
+    ``overflow_threshold`` marks a path as exploded, which stops it cleanly
+    instead of overflowing floats.
     """
 
     dt_max: float = 1e-3
-    refine_near_star: bool = True
     record_stride: int = 10
     overflow_threshold: float = 1e12
 
@@ -262,30 +260,21 @@ class Trajectory:
 # step boundary construction
 # ---------------------------------------------------------------------------
 
-def _segment_interior(s: float, e: float, dt_max: float, refine: bool) -> list:
-    """Interior step boundaries strictly between ``s`` and ``e``."""
+def _segment_interior(s: float, e: float, dt_max: float) -> list:
+    """Interior step boundaries strictly between ``s`` and ``e``: steps of
+    ``dt_max`` from ``s``, the last one ending at ``e``."""
     pts = []
-    floor = dt_max * 1e-6
     t = s
-    while True:
-        rem = e - t
-        if refine:
-            if rem <= 2.0 * floor:
-                break
-            dt = min(dt_max, max(rem / 2.0, floor))
-        else:
-            if rem <= dt_max * (1.0 + 1e-9):
-                break
-            dt = dt_max
-        t = t + dt
+    while e - t > dt_max * (1.0 + 1e-9):
+        t = t + dt_max
         if t >= e:
             break
         pts.append(t)
     return pts
 
 
-def _base_boundaries(realization, t0: float, t1: float, dt_max: float, refine: bool):
-    """Shared (path-independent) boundaries: jumps plus macro/refined steps.
+def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
+    """Shared (path-independent) boundaries: the jumps plus ``dt_max`` steps.
 
     Returns the boundaries, the window's jump times and indices ``k``, and
     the jumps' positions among the boundaries.  Cached on the realization
@@ -293,7 +282,7 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float, refine: b
     same windows millions of times).
     """
     cache = realization.__dict__.setdefault("_boundary_cache", {})
-    key = (t0, t1, dt_max, refine)
+    key = (t0, t1, dt_max)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -301,11 +290,11 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float, refine: b
     pts = [t0]
     cur = t0
     for _, tau in jumps:
-        pts.extend(_segment_interior(cur, tau, dt_max, refine))
+        pts.extend(_segment_interior(cur, tau, dt_max))
         pts.append(tau)
         cur = tau
     if cur < t1:
-        pts.extend(_segment_interior(cur, t1, dt_max, False))
+        pts.extend(_segment_interior(cur, t1, dt_max))
         pts.append(t1)
     base = np.asarray(pts, dtype=float)
     jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
@@ -459,9 +448,7 @@ def simulate_batch(
     x = _rows(x, (n_paths, spec.dim), float)
     y = _rows(y, n_paths, np.int64)
     h = _rows(h, n_paths, np.int64)
-    base, jump_times, jump_ks, base_jidx = _base_boundaries(
-        spec.realization(), t0, t1, cfg.dt_max, cfg.refine_near_star
-    )
+    base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
     rec = None if record_times is None else np.asarray(record_times, dtype=float)
     # chunks of about _CHUNK_STEPS steps keep a large batch's work arrays small
     per_chunk = max(1, _CHUNK_STEPS // base.size)
@@ -838,8 +825,10 @@ def simulate_ensemble(
 ) -> EnsembleSummary:
     """Simulate ``n_paths`` independent paths and aggregate statistics.
 
-    Results are identical for any ``threads`` value: each path derives its
-    own streams from its index and partial results merge in index order.
+    Each path derives its own streams from its index, so the result does not
+    depend on how paths are grouped.  ``threads`` is accepted, and recorded
+    in CLI manifests, but no longer changes how paths run: they run in
+    blocks of 8 on the calling thread.
     """
     if n_paths < 1:
         raise ConfigInvalid("n_paths must be >= 1")
@@ -847,32 +836,19 @@ def simulate_ensemble(
         record_times = np.linspace(0.0, horizon, 201)
     rec = np.asarray(record_times, dtype=float)
 
-    # a block's stream bundles (about 3 kB each) live until its batch ends
-    blocks = [(lo, min(lo + 8, n_paths)) for lo in range(0, n_paths, 8)]
-
-    def run_block(block):
-        lo, hi = block
-        res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,
-                             [policy.path_streams(i) for i in range(lo, hi)], record_times=rec)
-        block_sq = np.full((hi - lo, rec.size), np.nan)
-        for p, (values, alive) in enumerate(zip(res.record_values, res.record_alive)):
-            sqv = np.einsum("ij,ij->i", values, values)
-            block_sq[p, alive] = sqv[alive]
-        return block_sq, res.sup_norm, int(np.count_nonzero(res.exploded))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-
-    per_path_sq = np.empty((n_paths, rec.size))
+    per_path_sq = np.full((n_paths, rec.size), np.nan)
     sups_all = np.empty(n_paths)
     n_exploded = 0
-    for (lo, hi), (block_sq, sups, exploded) in zip(blocks, results):
-        per_path_sq[lo:hi] = block_sq
-        sups_all[lo:hi] = sups
-        n_exploded += int(exploded)
+    # a block's stream bundles (about 3 kB each) live until its batch ends
+    for lo in range(0, n_paths, 8):
+        hi = min(lo + 8, n_paths)
+        res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,
+                             [policy.path_streams(i) for i in range(lo, hi)], record_times=rec)
+        for p, (values, alive) in enumerate(zip(res.record_values, res.record_alive)):
+            sqv = np.einsum("ij,ij->i", values, values)
+            per_path_sq[lo + p, alive] = sqv[alive]
+        sups_all[lo:hi] = res.sup_norm
+        n_exploded += int(np.count_nonzero(res.exploded))
 
     alive = ~np.isnan(per_path_sq)
     counts = alive.sum(axis=0)

@@ -31,6 +31,8 @@ SCHEDULE_KINDS = ("explicit-list", "harmonic-to-point", "harmonic-to-zero")
 
 DEFAULT_K_MAX = 200
 DEFAULT_DELTA_MIN = 1e-9
+# far above the 31,623 entries that delta_min = 1e-9 keeps
+MAX_HARMONIC_ENTRIES = 10 ** 6
 
 
 class UnsupportedFamily(ValueError):
@@ -403,9 +405,6 @@ class ScheduleRealization:
         """Entries with ``t0 < t_k <= t1``."""
         return [(k, t) for k, t in self.entries if t0 < t <= t1]
 
-    def last_time(self) -> float:
-        return self.entries[-1][1]
-
 
 def generate_schedule(schedule: JumpSchedule) -> ScheduleRealization:
     """Realize a schedule: sort ascending, truncate, validate monotonicity.
@@ -457,23 +456,29 @@ def _harmonic_cutoff(schedule: JumpSchedule) -> int:
     ``k (k + 1) = c / (delta_min + slack)``, the slack bounding the rounding
     of two times and their difference, no computed gap is under
     ``delta_min``.  From there the gaps are computed as the entries compute
-    them, in chunks, up to the first one under it.
+    them, in chunks, up to the first one under it.  A cutoff above
+    ``MAX_HARMONIC_ENTRIES`` raises :class:`ConfigError` before any entry is
+    built.
     """
     c = schedule.c if schedule.kind == "harmonic-to-point" else schedule.alpha
     delta = schedule.delta_min
     slack = 8.0 * 2.0 ** -53 * (abs(schedule.t_star) + 2.0 * c + delta)
     root = (math.sqrt(1.0 + 4.0 * c / (delta + slack)) - 1.0) / 2.0
-    k = max(1, int(root) - 2)
+    limit = min(schedule.k_max, MAX_HARMONIC_ENTRIES + 1)
+    k = min(max(1, int(root) - 2), limit)
     size = 1024
-    while k < schedule.k_max:
-        ks = np.arange(k, min(k + size, schedule.k_max) + 1)
+    while k < limit:
+        ks = np.arange(k, min(k + size, limit) + 1)
         t = schedule.harmonic_times(ks)
         hit = np.flatnonzero(np.abs(t[1:] - t[:-1]) < delta)
         if hit.size:
             return int(ks[hit[0]])
         k = int(ks[-1])
         size = min(2 * size, 1 << 16)
-    return schedule.k_max
+    if limit > MAX_HARMONIC_ENTRIES:
+        raise ConfigError(f"harmonic schedule keeps more than {MAX_HARMONIC_ENTRIES} entries; "
+                          "raise delta_min or lower k_max")
+    return limit
 
 
 @lru_cache(maxsize=64)
@@ -557,14 +562,6 @@ class DerivedConstants:
     gamma_seq: np.ndarray
     sum_l: float
     sum_gamma: float
-
-    @property
-    def sum_l_diverges(self) -> bool:
-        return math.isinf(self.sum_l)
-
-    @property
-    def sum_gamma_diverges(self) -> bool:
-        return math.isinf(self.sum_gamma)
 
 
 def derive_constants(spec: SystemSpec) -> DerivedConstants:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zenosde import __version__
 from zenosde.cli import (
     EXIT_CONFIG,
     EXIT_EXPLODED,
@@ -114,6 +115,20 @@ def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
     bad.write_text(json.dumps({"resolved": {"command": "simulate"}}), encoding="utf-8")
     assert main(["rerun", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "'config'" in capsys.readouterr().err
+
+
+def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
+    out1 = tmp_path / "first"
+    assert main(["simulate", "--preset", "case2", "--horizon", "0.5", "--out", str(out1)]) == EXIT_OK
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["tool_version"] = "0.1.0"
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest), encoding="utf-8")
+    out2 = tmp_path / "second"
+    assert main(["rerun", str(old), "--out", str(out2)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "0.1.0" in err and __version__ in err
+    assert not out2.exists()
 
 
 def test_probe_meansq_writes_curves(tmp_path):

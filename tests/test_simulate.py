@@ -308,7 +308,7 @@ def test_batch_cascade_fallback_is_decided_per_path():
         jump={"kind": "custom-sequence", "maps": [[1.0, 0.5]]},
         schedule={"kind": "explicit-list", "times": [50.0]},
     )
-    cfg = IntegratorConfig(dt_max=0.1, refine_near_star=False)
+    cfg = IntegratorConfig(dt_max=0.1)
     pol = RngPolicy(3)
     args = (spec, cfg, 0.0, 100.0, [[1.0], [1.0]], [1, 2], 1)
     batch = _assert_batch_matches_alone(*args, pol.path_streams, 2)

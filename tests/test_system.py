@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zenosde.system import (
+    MAX_HARMONIC_ENTRIES,
     CoefficientFamily,
     ConfigError,
     DivergentTail,
@@ -117,6 +118,23 @@ def test_schedule_huge_k_max_realizes_quickly(kind):
     assert time.perf_counter() - t0 < 5.0
     assert len(real.entries) == 31623
     assert real.n_truncated == 10**9 - 31623
+
+
+@pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
+@pytest.mark.parametrize("delta_min", [0.0, 1e-20])
+def test_schedule_keeping_too_many_entries_is_rejected_quickly(kind, delta_min):
+    # no gap is under delta_min before the times round together, about 10**7
+    # entries in, so all 10**9 would be kept
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match=str(MAX_HARMONIC_ENTRIES)):
+        realize_schedule(JumpSchedule(kind=kind, k_max=10**9, delta_min=delta_min))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_schedule_at_the_entry_cap_is_kept():
+    real = realize_schedule(JumpSchedule(kind="harmonic-to-zero", k_max=MAX_HARMONIC_ENTRIES,
+                                         delta_min=0.0))
+    assert len(real.entries) == MAX_HARMONIC_ENTRIES
 
 
 def test_schedule_jumps_in_window():
