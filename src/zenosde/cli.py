@@ -220,6 +220,8 @@ def run_probe(resolved: dict, out_dir: Path) -> int:
     kind = resolved["kind"]
     paths = resolved["paths"]
     threads = resolved["threads"]
+    if paths < 1:
+        raise ConfigError("paths must be >= 1")
 
     # each kind writes <kind>.json, and <kind>.csv of its rows' fields
     fields = None
@@ -306,9 +308,12 @@ def _add_source_args(p):
 
 def _parse_list(text: str, conv, option: str) -> list:
     try:
-        return [conv(s) for s in str(text).split(",") if s]
+        values = [conv(s) for s in str(text).split(",") if s]
     except ValueError:
         raise ConfigError(f"{option}: expected a comma list of numbers, got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{option}: expected at least one number, got {text!r}")
+    return values
 
 
 def _parse_krange(text: str):

@@ -526,9 +526,7 @@ def check_jump_moment_condition(
         pk = eta_chain.matrix_at(k)
         post = np.empty((n_marks, grid.size))
         for z in range(1, n_marks + 1):
-            post[z - 1] = np.abs(grid + np.asarray(
-                [float(jump.evaluate(k, 1, z, np.asarray([xv]))[0]) for xv in grid]
-            )) ** beta
+            post[z - 1] = np.abs(grid + jump.evaluate(k, 1, z, grid)) ** beta
         base = np.abs(grid) ** beta
         for h in range(1, n_marks + 1):
             ratios = (pk[h - 1] @ post) / base

@@ -28,6 +28,8 @@ from .system import SystemSpec
 
 _CASCADE_LIMIT = 1e250
 _CHUNK_STEPS = 8192
+# step boundaries a window may have; ``dt_max = 1e-6`` over [0, 5] needs 5e6
+MAX_BOUNDARIES = 10 ** 7
 
 # the hash constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFFFFFF
@@ -279,7 +281,9 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     Returns the boundaries, the window's jump times and indices ``k``, and
     the jumps' positions among the boundaries.  Cached on the realization
     object keyed by the window parameters (the nested probes revisit the
-    same windows millions of times).
+    same windows millions of times).  A ``dt_max`` that cannot advance time
+    in the window, or that needs more than ``MAX_BOUNDARIES`` boundaries,
+    raises :class:`ConfigInvalid` before any point is built.
     """
     cache = realization.__dict__.setdefault("_boundary_cache", {})
     key = (t0, t1, dt_max)
@@ -287,6 +291,14 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     if hit is not None:
         return hit
     jumps = realization.jumps_in(t0, t1)
+    # ``t + dt_max`` rounds back to ``t`` for some ``t`` in the window when
+    # the step is at most half the float spacing at the window's largest |t|
+    if 2.0 * dt_max <= np.spacing(max(abs(t0), abs(t1))):
+        raise ConfigInvalid(f"dt_max {dt_max!r} is too small to advance time on the window "
+                            f"[{t0!r}, {t1!r}]")
+    if (t1 - t0) / dt_max + len(jumps) > MAX_BOUNDARIES:
+        raise ConfigInvalid(f"dt_max {dt_max!r} needs more than {MAX_BOUNDARIES} step "
+                            f"boundaries on the window [{t0!r}, {t1!r}]")
     pts = [t0]
     cur = t0
     for _, tau in jumps:
@@ -551,52 +563,34 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     starts[:, 1:] = jidx
     ratio = prod[r2, jidx] / prod[r2, starts[:, :-1]]
     shift = None if cum is None else prod[r2, jidx] * (cum[r2, jidx] - cum[r2, starts[:, :-1]])
-    y_pre = regimes[r2, jidx - 1].tolist()
+    y_pre = regimes[r2, jidx - 1].T.tolist()
 
-    # impulses in time order; `sel` indexes the running paths, as a cheap
-    # view while all of them run
+    # impulses in time order, on every path: a path's draws come from its own
+    # streams, so impulses past its stop change nothing it returns, and where
+    # each path stops is decided once, after the loop
     x_cur = x.copy()
     h_hist = np.empty((n_paths, n_jumps + 1), dtype=np.int64)
     h_hist[:, 0] = h
     x_pre = np.zeros((n_paths, n_jumps, dim))
     x_post = np.zeros((n_paths, n_jumps, dim))
-    stop_jump = np.full(n_paths, n_jumps)      # the jump a path stopped at
-    stop_after = np.zeros(n_paths, dtype=bool)  # ... after applying it
-    live, sel = rows, slice(None)
     h_now = h.tolist()
     for s, k in enumerate(jump_ks.tolist()):
-        xp = ratio[sel, s] * x_cur[sel]
+        xp = ratio[:, s] * x_cur
         if shift is not None:
-            xp += shift[sel, s]
-        if walked:
-            for i, p in enumerate(live.tolist()):
-                if p in walked:
-                    xp[i] = _walk(walked[p], m_fac[p], None if u_add is None else u_add[p],
-                                  starts[p, s], jidx[p, s], x_cur[p])
-        x_pre[sel, s] = xp
-        over = _norms(xp) > thr
-        if np.count_nonzero(over):
-            stop_jump[live[over]] = s
-            live = sel = live[~over]
-            xp = xp[~over]
-        ids = live.tolist()
-        for p in ids:
-            h_now[p] = sample_dtmc_step(spec.eta_chain, h_now[p], k, streams[p].mark)
-        marks = [h_now[p] for p in ids]
-        h_hist[sel, s + 1] = marks
-        xa = xp + _impulse(spec.jump, k, [y_pre[p][s] for p in ids], marks, xp)
-        x_post[sel, s] = xa
-        x_cur[sel] = xa
-        over = _norms(xa, pointwise=True) > thr
-        if np.count_nonzero(over):
-            stop_jump[live[over]] = s
-            stop_after[live[over]] = True
-            live = sel = live[~over]
-            if live.size == 0:
-                break
-    for p in set(walked).intersection(live.tolist()):
-        _walk(walked[p], m_fac[p], None if u_add is None else u_add[p],
-              starts[p, -1], steps[p], x_cur[p])
+            xp += shift[:, s]
+        for p, walk in walked.items():
+            xp[p] = _walk(walk, m_fac[p], None if u_add is None else u_add[p],
+                          starts[p, s], jidx[p, s], x_cur[p])
+        x_pre[:, s] = xp
+        h_now = [sample_dtmc_step(spec.eta_chain, hv, k, st.mark) for hv, st in zip(h_now, streams)]
+        h_hist[:, s + 1] = h_now
+        x_cur = x_post[:, s] = xp + _impulse(spec.jump, k, y_pre[s], h_now, xp)
+        # every path has stopped once each coordinate is past the threshold,
+        # since a norm is never below its largest coordinate
+        if np.abs(x_cur).min() > thr:
+            break
+    for p, walk in walked.items():
+        _walk(walk, m_fac[p], None if u_add is None else u_add[p], starts[p, -1], steps[p], x_cur[p])
 
     # every state of the window, the post-jump state at a jump boundary;
     # segment s of path p covers columns starts[p, s] up to the next start,
@@ -618,15 +612,18 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         X[p, steps[p] + 1 :] = walk[-1]
 
     # a path stops at its first norm over the threshold, in a lone path's
-    # order: a segment's steps, the pre-jump state, the post-jump state (the
-    # impulse loop already stopped paths at the latter two); below the
-    # threshold before it, a stopped path's sup is the norm that stopped it
+    # order: a segment's steps, the pre-jump state, the post-jump state; a
+    # stopped path's sup is the norm that stopped it
     norms = _norms(X)
     pre_norms = _norms(x_pre)
     post_norms = _norms(x_post, pointwise=True)
     sup = np.fmax(np.fmax.reduce(norms, axis=1),
                   np.fmax.reduce(np.fmax(pre_norms, post_norms), axis=1, initial=0.0))
     over = norms > thr
+    pre_over = pre_norms > thr
+    jump_over = np.ones((n_paths, n_jumps + 1), dtype=bool)
+    jump_over[:, :-1] = pre_over | (post_norms > thr)
+    stop_jump = jump_over.argmax(axis=1)      # the first jump a path stopped at, else n_jumps
     exploded = over.any(axis=1) | (stop_jump < n_jumps)
     x_end = X[rows, n_steps]
     stop = n_steps.copy()
@@ -638,12 +635,12 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             j = int(hits[0])
             stop[p], x_end[p], sup[p] = j, X[p, j], norms[p, j]
             n_applied[p] = np.count_nonzero(jidx[p] <= j)
-        elif stop_after[p]:
-            stop[p], x_end[p], sup[p] = jidx[p, s], x_post[p, s], post_norms[p, s]
-            n_applied[p] = s + 1
-        else:
+        elif pre_over[p, s]:
             stop[p], x_end[p], sup[p] = jidx[p, s], x_pre[p, s], pre_norms[p, s]
             n_applied[p] = s
+        else:
+            stop[p], x_end[p], sup[p] = jidx[p, s], x_post[p, s], post_norms[p, s]
+            n_applied[p] = s + 1
         X[p, stop[p]] = x_end[p]
 
     y_end = np.array(y)

@@ -57,6 +57,25 @@ def test_simulate_case3_reports_explosion_via_exit_code(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_growing_config_over_the_threshold_before_a_jump_writes_outputs(tmp_path):
+    cfg = {
+        "drift": {"kind": "linear-per-regime", "values": [5.0]},
+        "diffusion": {"kind": "linear-per-regime", "values": [0.0]},
+        "jump": {"kind": "exp-mark-clamped", "alpha": 1.0, "sign": 1, "scale": 1.0},
+        "schedule": {"kind": "explicit-list", "times": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+        "xi_generator": {"q": [[0.0]]},
+        "eta_transition": {"p": [[1.0]]},
+        "initial": {"x0": [10.0], "y0": 1, "h0": 1},
+        "horizon": 7.0,
+    }
+    path = tmp_path / "grow.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "grow"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_EXPLODED
+    assert (out / "traj_0.csv").exists()
+    assert (out / "manifest.json").exists()
+
+
 def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", "--preset", "case2", "--epsilon", "0.1"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -91,6 +110,12 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     (["probe", "--preset", "intro", "--kind", "blowup", "--kmax", "5,x"], "--kmax"),
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--krange", "1-20"], "--krange"),
     (["simulate", "--preset", "case2", "--dt", "-1"], "dt_max"),
+    (["probe", "--preset", "intro", "--kind", "blowup", "--kmax", ""], "--kmax"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas", ""], "--deltas"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "0"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "0", "--krange", "1:2",
+      "--inner", "3"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "-1"], "paths"),
 ])
 def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -102,6 +127,13 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--inner", "0"], "n_inner"),
     (["simulate", "--preset", "case2", "--horizon", "inf"], "horizon"),
     (["simulate", "--preset", "case2", "--paths", "0"], "paths"),
+    (["probe", "--preset", "intro", "--kind", "blowup", "--kmax", ""], "--kmax"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas", ""], "--deltas"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "0"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "0", "--krange", "1:2",
+      "--inner", "3"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "-1"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--dt", "1e-300"], "dt_max"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"

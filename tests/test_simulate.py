@@ -355,3 +355,86 @@ def test_aux_streams_batch_takes_an_array_of_keys():
 def test_aux_streams_batch_rejects_bad_keys(keys):
     with pytest.raises((ValueError, OverflowError)):
         RngPolicy(0).aux_streams_batch(3, keys)
+
+
+# ---------------------------------------------------------------------------
+# where a path stops: steps, pre-jump state, post-jump state
+# ---------------------------------------------------------------------------
+
+def _window_bytes(res):
+    events = [(e.k, e.time, e.mark, e.x_before.tobytes(), e.x_after.tobytes())
+              for e in res.jump_events]
+    return (res.x_end.tobytes(), res.y_end, res.h_end, res.exploded, res.explosion_time,
+            np.float64(res.sup_norm).tobytes(), events)
+
+
+def test_lone_windows_over_the_threshold_before_a_jump_match_their_batch_rows():
+    # from 8e11 many case3 paths are past 1e12 by the next jump, each here
+    # as the only path of its window
+    spec = spec_from_dict(build_preset("case3"))
+    cfg = IntegratorConfig()
+    pol = RngPolicy(3)
+    t0, t1, x0 = 1.0, 1.7, np.array([8e11])
+    batch = simulate_batch(spec, cfg, t0, t1, x0, spec.y0, spec.h0,
+                           pol.aux_streams_batch(9, [(j,) for j in range(200)]))
+    over_before_a_jump = 0
+    for j in range(200):
+        alone = simulate_window(spec, cfg, t0, t1, x0, spec.y0, spec.h0, pol.aux_streams(9, j))
+        assert _window_bytes(alone) == _window_bytes(batch.window(j)), j
+        n = len(alone.jump_events)
+        if n < batch.jump_times.size and abs(batch.x_before[j, n, 0]) > cfg.overflow_threshold:
+            over_before_a_jump += 1
+    assert over_before_a_jump > 0
+
+
+def test_case3_ensemble_of_one_path_chunks_runs():
+    # horizon-5 paths run one per chunk; with this seed some of them are past
+    # the threshold by the next jump
+    spec = spec_from_dict(build_preset("case3"))
+    summary = simulate_ensemble(spec, IntegratorConfig(), 5.0, 100, RngPolicy(0))
+    assert summary.n_exploded == 100
+
+
+def test_path_crossing_only_at_a_pre_jump_state_stops_there():
+    # x doubles every 0.25 step: 7.5e11 at t = 0.75, 1.5e12 just before the
+    # jump at t = 1, and the impulse x -> x + (-x + 0) takes it back to 0
+    spec = make_spec(
+        drift={"values": [4.0]},
+        jump={"kind": "custom-sequence", "maps": [[-1.0, 0.0]]},
+        schedule={"kind": "explicit-list", "times": [1.0]},
+        initial={"x0": [9.375e10], "y0": 1, "h0": 1},
+        horizon=2.0,
+    )
+    cfg = IntegratorConfig(dt_max=0.25)
+    pol = RngPolicy(5)
+    alone = simulate_batch(spec, cfg, 0.0, 2.0, spec.x0, 1, 1, [pol.path_streams(0)])
+    # beside a path that keeps running, the impulse loop runs past the jump
+    pair = simulate_batch(spec, cfg, 0.0, 2.0, [spec.x0, [1.0]], 1, 1,
+                          [pol.path_streams(0), pol.path_streams(1)])
+    assert not pair.exploded[1] and pair.n_jumps[1] == 1 and pair.x_end[1][0] == 0.0
+    for res in (alone, pair):
+        assert res.exploded[0]
+        assert res.explosion_time[0] == 1.0
+        assert res.x_end[0][0] == 1.5e12
+        assert res.sup_norm[0] == 1.5e12
+        assert res.n_jumps[0] == 0
+        assert res.h_end[0] == spec.h0
+    for name in BATCH_FIELDS:
+        assert getattr(alone, name)[0].tobytes() == getattr(pair, name)[0].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# step grid size
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t0,t1,dt_max", [
+    (1.0, 2.0, 1e-17),                       # 1 + 1e-17 == 1
+    (1e10, 1e10 + 1e-3, 1e-9),               # below the float spacing near 1e10
+    (1.0, 1.0 + 2.0**-52, 2.0**-53),         # a tie that rounds 1 + dt back to 1
+    (0.0, 5.0, 1e-12),                       # 5e12 boundaries
+])
+def test_step_grid_that_cannot_be_built_is_refused(t0, t1, dt_max):
+    spec = make_spec()
+    with pytest.raises(ConfigInvalid, match="dt_max"):
+        simulate_batch(spec, IntegratorConfig(dt_max=dt_max), t0, t1, spec.x0, 1, 1,
+                       [RngPolicy(0).path_streams(0)])
