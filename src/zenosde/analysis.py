@@ -144,6 +144,8 @@ def probe_stability_in_probability(
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     deltas = sorted((float(d) for d in delta_grid), reverse=True)
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"every delta must be positive and finite, got {deltas}")
     direction = spec.x0 / np.linalg.norm(spec.x0)
     rows = []
     for i, d in enumerate(deltas):

@@ -13,10 +13,14 @@ the (vanishingly rare) case of a degenerate cumulative product.
 
 :func:`simulate_batch` is the one integration primitive: it runs many paths
 over one window per call, and :func:`simulate_window` is its one-path case.
+It runs the paths in blocks that share one Python loop over the impulses;
+the work arrays of a long window run in chunks of steps, so their memory is
+bounded by one byte budget, ``_WORK_BYTES``, whatever the path count.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, fields
@@ -27,9 +31,12 @@ from .markov import sample_ctmc, sample_dtmc_step
 from .system import SystemSpec
 
 _CASCADE_LIMIT = 1e250
-_CHUNK_STEPS = 8192
+# bytes of work arrays the integrator holds at once, about (see _plan)
+_WORK_BYTES = 2 ** 20
 # step boundaries a window may have; ``dt_max = 1e-6`` over [0, 5] needs 5e6
 MAX_BOUNDARIES = 10 ** 7
+# bytes of per-path results an ensemble may allocate
+MAX_RESULT_BYTES = 2 ** 30
 
 # the hash constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFFFFFF
@@ -442,7 +449,8 @@ def simulate_batch(
     then one normal per step and coordinate, then one mark per jump it
     reaches.  Every arithmetic step is the lone path's elementwise operation,
     so a path's result is bit for bit the same in any batch, at any position.
-    Bundles must not be shared between paths.
+    Bundles must not be shared between paths.  ``record_times`` must lie in
+    ``[t0, t1]``.
 
     Each path's step grid (the shared base grid plus its own switch and
     record times) is padded to a common length with zero-length steps, whose
@@ -450,6 +458,15 @@ def simulate_batch(
     step axis gives every path's segment products.  A path whose products
     leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` (or every path, with
     ``force_sequential``) is walked step by step instead.
+
+    The paths run in blocks that share one impulse loop, with work arrays
+    bounded by ``_WORK_BYTES`` (see :func:`_plan`).  Windows short enough
+    for several paths to fit in one chunk run as one chunk per block.  In a
+    longer window each path runs alone in chunks of steps: once for the
+    products at the jumps, and again, after the impulse loop, for its states,
+    with its normals drawn again from a copy of its generator.  ``cumprod``
+    and ``cumsum`` are sequential, so continuing them from the previous
+    chunk's last column gives the same bits.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
@@ -460,16 +477,19 @@ def simulate_batch(
     x = _rows(x, (n_paths, spec.dim), float)
     y = _rows(y, n_paths, np.int64)
     h = _rows(h, n_paths, np.int64)
-    base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
     rec = None if record_times is None else np.asarray(record_times, dtype=float)
-    # chunks of about _CHUNK_STEPS steps keep a large batch's work arrays small
-    per_chunk = max(1, _CHUNK_STEPS // base.size)
+    # a record time before t0 would move every path's start; NaN fails both tests
+    if rec is not None and not ((rec >= t0) & (rec <= t1)).all():
+        raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
+    base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
+    n_rec = 0 if rec is None else rec.size
+    block, chunk = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim)
     with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
         parts = [
             _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
-                       x[lo : lo + per_chunk], y[lo : lo + per_chunk], h[lo : lo + per_chunk],
-                       streams[lo : lo + per_chunk], collect_path, force_sequential)
-            for lo in range(0, n_paths, per_chunk)
+                       x[lo : lo + block], y[lo : lo + block], h[lo : lo + block],
+                       streams[lo : lo + block], collect_path, force_sequential, chunk)
+            for lo in range(0, n_paths, block)
         ]
     if len(parts) == 1:
         return parts[0]
@@ -485,6 +505,26 @@ def simulate_batch(
     return BatchResult(**joined)
 
 
+def _plan(width: int, n_jumps: int, dim: int) -> tuple:
+    """Paths per block and steps per chunk (``None``: one chunk of all the
+    block's paths) for windows of about ``width`` steps and ``n_jumps`` jumps.
+
+    The work arrays of one chunk take about ``128 * dim`` bytes per path and
+    step.  While two or more whole windows fit in ``_WORK_BYTES`` of them, a
+    block is as many paths as fit, run as one chunk.  A longer window runs
+    one path at a time in chunks of at most ``_WORK_BYTES`` of steps, twice:
+    once for the products at the jumps, and once, after the impulses, for the
+    states.  Its block is then as many paths as ``_WORK_BYTES`` holds of
+    their per-jump state, all sharing one impulse loop.
+    """
+    step_bytes = 128 * dim
+    fit = _WORK_BYTES // (max(width, 1) * step_bytes)
+    if fit >= 2:
+        return fit, None
+    jump_bytes = 24 * dim + 48
+    return max(1, _WORK_BYTES // ((n_jumps + 1) * jump_bytes)), max(1, _WORK_BYTES // step_bytes)
+
+
 def _rows(value, shape, dtype) -> np.ndarray:
     """A new array of ``shape`` holding ``value`` broadcast to it."""
     out = np.empty(shape, dtype=dtype)
@@ -493,94 +533,196 @@ def _rows(value, shape, dtype) -> np.ndarray:
 
 
 def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, y, h, streams,
-               collect_path, force_sequential) -> BatchResult:
-    """One chunk of :func:`simulate_batch`."""
+               collect_path, force_sequential, chunk) -> BatchResult:
+    """One block of :func:`simulate_batch`; ``chunk`` is from :func:`_plan`."""
     n_paths, dim = x.shape
     n_jumps = jump_times.size
     rows = np.arange(n_paths)
     r2 = rows[:, None]
     thr = cfg.overflow_threshold
 
-    # per path, in a lone path's draw order: the regime chain, then the normals
-    chains, grids, normals, jidx = [], [], [], []
-    for p, st in enumerate(streams):
-        chain = sample_ctmc(spec.xi_chain, int(y[p]), t1 - t0, st.chain)
-        grid, gj = base, base_jidx
-        if chain.switch_times.size or rec is not None:
-            parts = [base, t0 + chain.switch_times]
-            if rec is not None:
-                parts.append(rec)
-            grid = np.unique(np.concatenate(parts))
-            gj = np.searchsorted(grid, jump_times)
-        chains.append(chain)
-        grids.append(grid)
-        jidx.append(gj)
-        normals.append(st.wiener.standard_normal((grid.size - 1, dim)))
-    jidx = np.array(jidx, dtype=np.int64)
-    steps = [g.size - 1 for g in grids]
-    n_steps = np.array(steps)
-    width = max(steps)
-    if min(steps) == width:
-        bounds, z = np.array(grids), np.array(normals)
-    else:
-        # pad each grid to the common width by repeating its end point
-        col = np.arange(width + 1)
-        z_off = np.cumsum(n_steps) - n_steps
-        bounds = np.concatenate(grids)[(z_off + rows)[:, None] + np.minimum(col, n_steps[:, None])]
-        z = np.concatenate(normals)[z_off[:, None] + np.minimum(col[:-1], n_steps[:, None] - 1)]
-    regimes = np.empty((n_paths, width), dtype=np.int64)
-    regimes[:] = y[:, None]
+    # the shared grid is the base grid plus the record times; a path's own
+    # grid also holds its switch times, inserted where they are not on it
+    grid, gj = base, base_jidx
+    if rec is not None:
+        grid = np.unique(np.concatenate((base, rec)))
+        gj = np.searchsorted(grid, jump_times)
+        gr = np.searchsorted(grid, rec)
+    chains = [sample_ctmc(spec.xi_chain, int(y[p]), t1 - t0, st.chain)
+              for p, st in enumerate(streams)]
+    # each segment's first column: 0, then each jump's
+    starts = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
+    starts[:, 1:] = gj
+    jidx = starts[:, 1:]
+    ridx = None
+    if rec is not None:
+        ridx = np.empty((n_paths, rec.size), dtype=np.int64)
+        ridx[:] = gr
+    n_new = np.zeros(n_paths, dtype=np.int64)
+    inserted = {}
     for p, chain in enumerate(chains):
         if chain.switch_times.size:
-            regimes[p, : steps[p]] = chain.state_at(grids[p][:-1] - t0)
+            sw = t0 + chain.switch_times
+            at = np.searchsorted(grid, sw)
+            keep = grid[np.minimum(at, grid.size - 1)] != sw
+            keep[1:] &= sw[1:] != sw[:-1]
+            if keep.any():
+                sw, at = sw[keep], at[keep]
+                n_new[p] = sw.size
+                inserted[p] = (at, sw)
+                jidx[p] += np.searchsorted(at, gj, side="right")
+                if ridx is not None:
+                    ridx[p] += np.searchsorted(at, gr, side="right")
+    steps = grid.size - 1 + n_new
+    width = int(steps.max())
 
-    dt = bounds[:, 1:] - bounds[:, :-1]
-    sq = np.sqrt(dt)
+    def grid_of(p):
+        """Path ``p``'s own step grid."""
+        return np.insert(grid, *inserted[p]) if p in inserted else grid
+
+    def width_of(sel):
+        """The last column of paths ``sel``."""
+        return width if chunk is None else int(steps[sel.start])
+
+    if chunk is None:
+        # one chunk: every path's grid, padded by repeating its end point
+        bounds = grid[None]
+        if inserted:
+            bounds = np.empty((n_paths, width + 1))
+            bounds[:] = grid[-1]
+            bounds[:, : grid.size] = grid
+            for p in inserted:
+                own = grid_of(p)
+                bounds[p, : own.size] = own
+                bounds[p, own.size :] = own[-1]
+
     tab_a_lin, tab_b_lin, tab_a_con, tab_b_con = _coeff_tables(spec)
-    ri = regimes - 1
-    m_fac = 1.0 + (tab_a_lin[ri] * dt)[..., None] + (tab_b_lin[ri] * sq)[..., None] * z
-    u_add = None
-    if spec.drift.kind == "constant" or spec.diffusion.kind == "constant":
-        u_add = (tab_a_con[ri] * dt)[..., None] + (tab_b_con[ri] * sq)[..., None] * z
+    additive = spec.drift.kind == "constant" or spec.diffusion.kind == "constant"
+
+    def factors(sel, a, b, gens):
+        """Regimes, step factors and additive parts of steps ``a..b-1`` of
+        paths ``rows[sel]``, with normals from ``gens``; zero-length padding
+        steps keep the starting regime and take normal 0."""
+        bnd = bounds[sel, a : b + 1] if chunk is None else grid_of(sel.start)[None, a : b + 1]
+        regimes = np.empty((rows[sel].size, b - a), dtype=np.int64)
+        regimes[:] = y[sel][:, None]
+        ns = (np.minimum(steps[sel], b) - a).tolist()
+        draws = []
+        for i, (p, n) in enumerate(zip(rows[sel].tolist(), ns)):
+            if chains[p].switch_times.size:
+                regimes[i, :n] = chains[p].state_at(bnd[min(i, len(bnd) - 1), :n] - t0)
+            draws.append(gens[p].standard_normal((n, dim)))
+        if min(ns) == b - a:
+            z = np.array(draws)
+        else:
+            z = np.zeros((len(ns), b - a, dim))
+            for i, (n, d) in enumerate(zip(ns, draws)):
+                z[i, :n] = d
+        dt = bnd[:, 1:] - bnd[:, :-1]
+        sq = np.sqrt(dt)
+        ri = regimes - 1
+        m_fac = 1.0 + (tab_a_lin[ri] * dt)[..., None] + (tab_b_lin[ri] * sq)[..., None] * z
+        u_add = None
+        if additive:
+            u_add = (tab_a_con[ri] * dt)[..., None] + (tab_b_con[ri] * sq)[..., None] * z
+        return regimes, m_fac, u_add
 
     # inside a segment [lo, hi] between impulses x(j) = P[j]/P[lo] * x(lo)
     # + P[j] * (S[j] - S[lo]), with P the running product of the step factors
-    # and S the running sum of the additive parts over P
-    prod = np.empty((n_paths, width + 1, dim))
-    prod[:, 0] = 1.0
-    np.cumprod(m_fac, axis=1, out=prod[:, 1:])
-    absp = np.abs(prod)
+    # and S the running sum of the additive parts over P; a chunk holds
+    # columns a..b, column a carrying P and S on from the chunk before
+    def products(m_fac, u_add, a, carry):
+        prod = np.empty((m_fac.shape[0], m_fac.shape[1] + 1, dim))
+        prod[:, 0] = carry[0]
+        if a:
+            m_fac[:, 0] *= carry[0]
+        np.cumprod(m_fac, axis=1, out=prod[:, 1:])
+        cum = None
+        if u_add is not None:
+            q = u_add / prod[:, 1:]
+            if a:
+                q[:, 0] += carry[1]
+            cum = np.empty_like(prod)
+            cum[:, 0] = carry[1]
+            np.cumsum(q, axis=1, out=cum[:, 1:])
+        return prod, cum
+
+    if chunk is None:
+        chunks = [(slice(None), 0, width)]
+    else:
+        chunks = [(slice(p, p + 1), a, min(a + chunk, int(steps[p])))
+                  for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
+    gens = [st.wiener for st in streams]
+    # outside one chunk a path draws its normals again for the second pass,
+    # from a copy of its generator taken before the first draw
+    replay = None if chunk is None else [copy.copy(g.bit_generator) for g in gens]
+
+    # first pass: regimes, products and sums at the jumps, and the extremes
+    # of each path's products
+    p_start = np.empty((n_paths, n_jumps + 1, dim))
+    p_start[:, 0] = 1.0
+    c_start = np.zeros((n_paths, n_jumps + 1, dim)) if additive else None
+    y_pre = np.empty((n_paths, n_jumps), dtype=np.min_scalar_type(spec.n_regimes))
+    needs_walk = np.zeros(n_paths, dtype=bool)
+    needs_walk[:] = force_sequential
+
+    def first_pass(sel, a, b, carry):
+        regimes, m_fac, u_add = factors(sel, a, b, gens)
+        prod, cum = products(m_fac, u_add, a, carry)
+        r = rows[sel]
+        absp = np.abs(prod)
+        if absp.min() < 1.0 / _CASCADE_LIMIT or absp.max() > _CASCADE_LIMIT:
+            needs_walk[sel] |= (absp.min(axis=(1, 2)) < 1.0 / _CASCADE_LIMIT) \
+                | (absp.max(axis=(1, 2)) > _CASCADE_LIMIT)
+        if a == 0 and b >= width_of(sel):   # every jump is in this chunk
+            loc, jc = r2[: len(prod)], jidx[sel]
+            p_start[sel, 1:] = prod[loc, jc]
+            y_pre[sel] = regimes[loc, jc - 1]
+            if cum is not None:
+                c_start[sel, 1:] = cum[loc, jc]
+            return m_fac, u_add, prod, cum
+        jj = jidx[sel] - a
+        pp, ss = ((jj > 0) & (jj <= b - a)).nonzero()
+        rp, jc, ss = r[pp], jj[pp, ss], ss + 1
+        p_start[rp, ss] = prod[pp, jc]
+        y_pre[rp, ss - 1] = regimes[pp, jc - 1]
+        if cum is not None:
+            c_start[rp, ss] = cum[pp, jc]
+        return m_fac, u_add, prod, cum
+
+    for sel, a, b in chunks:
+        kept = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept[2:]))
     walked = {}
-    if force_sequential or absp.min() < 1.0 / _CASCADE_LIMIT or absp.max() > _CASCADE_LIMIT:
-        needs_walk = force_sequential | (absp.min(axis=(1, 2)) < 1.0 / _CASCADE_LIMIT) \
-            | (absp.max(axis=(1, 2)) > _CASCADE_LIMIT)
-        walked = {p: np.zeros((steps[p] + 1, dim)) for p in np.flatnonzero(needs_walk).tolist()}
-    cum = None
-    if u_add is not None:
-        cum = np.zeros_like(prod)
-        np.cumsum(u_add / prod[:, 1:], axis=1, out=cum[:, 1:])
-    starts = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
-    starts[:, 1:] = jidx
-    ratio = prod[r2, jidx] / prod[r2, starts[:, :-1]]
-    shift = None if cum is None else prod[r2, jidx] * (cum[r2, jidx] - cum[r2, starts[:, :-1]])
-    y_pre = regimes[r2, jidx - 1].T.tolist()
+    for p in needs_walk.nonzero()[0].tolist():
+        if chunk is None:
+            m_row, u_row = kept[0][p], None if kept[1] is None else kept[1][p]
+        else:
+            _, m_fac, u_add = factors(slice(p, p + 1), 0, int(steps[p]),
+                                      {p: np.random.Generator(copy.copy(replay[p]))})
+            m_row, u_row = m_fac[0], None if u_add is None else u_add[0]
+        walked[p] = (np.zeros((steps[p] + 1, dim)), m_row, u_row)
 
     # impulses in time order, on every path: a path's draws come from its own
     # streams, so impulses past its stop change nothing it returns, and where
-    # each path stops is decided once, after the loop
-    x_cur = x.copy()
+    # each path stops is decided once, after the loop; x_start holds the
+    # start, then each post-jump state
+    x_start = np.zeros((n_paths, n_jumps + 1, dim))
+    x_start[:, 0] = x
+    x_pre = np.zeros((n_paths, n_jumps, dim))
+    x_post = x_start[:, 1:]
     h_hist = np.empty((n_paths, n_jumps + 1), dtype=np.int64)
     h_hist[:, 0] = h
-    x_pre = np.zeros((n_paths, n_jumps, dim))
-    x_post = np.zeros((n_paths, n_jumps, dim))
+    x_cur = x
     h_now = h.tolist()
+    ratio = p_start[:, 1:] / p_start[:, :-1]
+    shift = p_start[:, 1:] * (c_start[:, 1:] - c_start[:, :-1]) if additive else None
+    y_pre = y_pre.T.tolist()
     for s, k in enumerate(jump_ks.tolist()):
         xp = ratio[:, s] * x_cur
         if shift is not None:
             xp += shift[:, s]
-        for p, walk in walked.items():
-            xp[p] = _walk(walk, m_fac[p], None if u_add is None else u_add[p],
-                          starts[p, s], jidx[p, s], x_cur[p])
+        for p, (walk, m_row, u_row) in walked.items():
+            xp[p] = _walk(walk, m_row, u_row, starts[p, s], jidx[p, s], x_cur[p])
         x_pre[:, s] = xp
         h_now = [sample_dtmc_step(spec.eta_chain, hv, k, st.mark) for hv, st in zip(h_now, streams)]
         h_hist[:, s + 1] = h_now
@@ -589,51 +731,100 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         # since a norm is never below its largest coordinate
         if np.abs(x_cur).min() > thr:
             break
-    for p, walk in walked.items():
-        _walk(walk, m_fac[p], None if u_add is None else u_add[p], starts[p, -1], steps[p], x_cur[p])
+    for p, (walk, m_row, u_row) in walked.items():
+        _walk(walk, m_row, u_row, starts[p, -1], steps[p], x_cur[p])
 
-    # every state of the window, the post-jump state at a jump boundary;
-    # segment s of path p covers columns starts[p, s] up to the next start,
-    # so repeating per-segment values by segment length fills (P, width + 1)
+    # second pass: every state of the window, the post-jump state at a jump
+    # boundary; segment s of path p covers columns starts[p, s] up to
+    # ends[p, s].  Kept per path: the sup of the step norms, the first column
+    # over the threshold, the state at the last step and at each record time.
     ends = np.empty_like(starts)
     ends[:, :-1] = jidx
     ends[:, -1] = width + 1
-    lengths = (ends - starts).ravel()
-    flat_lo = (starts + rows[:, None] * (width + 1)).ravel()
-    x_start = np.concatenate((x[:, None], x_post), axis=1)
-    shape = prod.shape
-    X = (prod / np.repeat(prod.reshape(-1, dim)[flat_lo], lengths, axis=0).reshape(shape)
-         * np.repeat(x_start.reshape(-1, dim), lengths, axis=0).reshape(shape))
-    if cum is not None:
-        X += prod * (cum - np.repeat(cum.reshape(-1, dim)[flat_lo], lengths, axis=0).reshape(shape))
-    X[r2, starts] = x_start
-    for p, walk in walked.items():
-        X[p, : steps[p] + 1] = walk
-        X[p, steps[p] + 1 :] = walk[-1]
+    sup = np.zeros(n_paths) + np.nan
+    first = np.zeros(n_paths, dtype=np.int64) - 1
+    x_first = np.empty((n_paths, dim))
+    n_first = np.empty(n_paths)
+    x_end = np.empty((n_paths, dim))
+    rec_raw = None if rec is None else np.empty((n_paths, rec.size, dim))
+    X_all = np.empty((n_paths, width + 1, dim)) if collect_path else None
+    def second_pass(sel, a, b, carry):
+        if chunk is None:
+            prod, cum = kept[2:]
+        else:
+            if a == 0:
+                gens[sel.start] = np.random.Generator(replay[sel.start])
+            prod, cum = products(*factors(sel, a, b, gens)[1:], a, carry)
+        r = rows[sel]
+        st = starts[sel]
+        whole = a == 0 and b >= width_of(sel)
+        # each segment's columns in this chunk
+        if whole:
+            lengths = (np.minimum(ends[sel], b + 1) - st).ravel()
+        else:
+            lengths = np.maximum(np.minimum(ends[sel], b + 1) - np.maximum(st, a), 0).ravel()
+
+        def spread(v):
+            return np.repeat(v[sel].reshape(-1, dim), lengths, axis=0).reshape(prod.shape)
+
+        X = prod / spread(p_start) * spread(x_start)
+        if cum is not None:
+            X += prod * (cum - spread(c_start))
+        loc = r2[: len(prod)]
+        if whole:
+            X[loc, st] = x_start[sel]
+        else:
+            pp, ss = ((st >= a) & (st <= b)).nonzero()
+            X[pp, st[pp, ss] - a] = x_start[r[pp], ss]
+        for i, p in enumerate(r.tolist()):
+            if p in walked:
+                X[i] = walked[p][0][np.minimum(np.arange(a, b + 1), steps[p])]
+        norms = _norms(X)
+        sup[sel] = np.fmax.reduce(norms, axis=1) if whole else \
+            np.fmax(sup[sel], np.fmax.reduce(norms, axis=1))
+        over = norms > thr
+        if over.any():
+            hit = (over.any(axis=1) & (first[sel] < 0)).nonzero()[0]
+            j = over[hit].argmax(axis=1)
+            first[r[hit]], x_first[r[hit]], n_first[r[hit]] = a + j, X[hit, j], norms[hit, j]
+        if whole:
+            x_end[sel] = X[loc[:, 0], steps[sel]]
+            if rec_raw is not None:
+                rec_raw[sel] = X[loc, ridx[sel]]
+        else:
+            pp = (steps[sel] <= b).nonzero()[0]
+            x_end[r[pp]] = X[pp, steps[r[pp]] - a]
+            if rec_raw is not None:
+                rr = ridx[sel]
+                pp, ss = ((rr >= a) & (rr <= b)).nonzero()
+                rec_raw[r[pp], ss] = X[pp, rr[pp, ss] - a]
+        if X_all is not None:
+            X_all[sel, a : b + 1] = X
+        return prod, cum
+
+    for sel, a, b in chunks:
+        kept = second_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept))
 
     # a path stops at its first norm over the threshold, in a lone path's
     # order: a segment's steps, the pre-jump state, the post-jump state; a
     # stopped path's sup is the norm that stopped it
-    norms = _norms(X)
     pre_norms = _norms(x_pre)
     post_norms = _norms(x_post, pointwise=True)
-    sup = np.fmax(np.fmax.reduce(norms, axis=1),
-                  np.fmax.reduce(np.fmax(pre_norms, post_norms), axis=1, initial=0.0))
-    over = norms > thr
+    sup = np.fmax(sup, np.fmax.reduce(np.fmax(pre_norms, post_norms), axis=1, initial=0.0))
     pre_over = pre_norms > thr
-    jump_over = np.ones((n_paths, n_jumps + 1), dtype=bool)
+    jump_over = np.empty((n_paths, n_jumps + 1), dtype=bool)
+    jump_over[:, -1] = True
     jump_over[:, :-1] = pre_over | (post_norms > thr)
     stop_jump = jump_over.argmax(axis=1)      # the first jump a path stopped at, else n_jumps
-    exploded = over.any(axis=1) | (stop_jump < n_jumps)
-    x_end = X[rows, n_steps]
-    stop = n_steps.copy()
+    exploded = (first >= 0) | (stop_jump < n_jumps)
+    stop = steps.copy()
     n_applied = np.full(n_paths, n_jumps)
-    for p in np.flatnonzero(exploded).tolist():
+    t_stop = np.full(n_paths, np.nan)
+    for p in exploded.nonzero()[0].tolist():
         s = int(stop_jump[p])
-        hits = np.flatnonzero(over[p, : jidx[p, s] if s < n_jumps else steps[p] + 1])
-        if hits.size:
-            j = int(hits[0])
-            stop[p], x_end[p], sup[p] = j, X[p, j], norms[p, j]
+        if 0 <= first[p] < (jidx[p, s] if s < n_jumps else steps[p] + 1):
+            j = int(first[p])
+            stop[p], x_end[p], sup[p] = j, x_first[p], n_first[p]
             n_applied[p] = np.count_nonzero(jidx[p] <= j)
         elif pre_over[p, s]:
             stop[p], x_end[p], sup[p] = jidx[p, s], x_pre[p, s], pre_norms[p, s]
@@ -641,33 +832,36 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         else:
             stop[p], x_end[p], sup[p] = jidx[p, s], x_post[p, s], post_norms[p, s]
             n_applied[p] = s + 1
-        X[p, stop[p]] = x_end[p]
+        t_stop[p] = grid_of(p)[stop[p]]
+        if X_all is not None:
+            X_all[p, stop[p]] = x_end[p]
 
     y_end = np.array(y)
     for p, chain in enumerate(chains):
         if chain.switch_times.size:
-            y_end[p] = chain.state_at((bounds[p, stop[p]] if exploded[p] else t1) - t0)
+            y_end[p] = chain.state_at((t_stop[p] if exploded[p] else t1) - t0)
 
-    rec_values = rec_alive = ridx = None
+    rec_values = rec_alive = None
     if rec is not None:
-        ridx = np.array([np.searchsorted(g, rec) for g in grids])
         # an exploded path contributes no statistics at or past its stop
         rec_alive = ridx <= (stop - exploded)[:, None]
-        rec_values = np.where(rec_alive[..., None], X[r2, ridx], np.nan)
+        rec_values = np.where(rec_alive[..., None], rec_raw, np.nan)
     paths = None
     if collect_path:
-        paths = [
-            _collect_path(grids[p], X[p], regimes[p, : steps[p]], jidx[p], jump_ks,
-                          t0 + chains[p].switch_times, int(stop[p]), cfg.record_stride,
-                          () if ridx is None else ridx[p])
-            for p in range(n_paths)
-        ]
+        paths = []
+        for p in range(n_paths):
+            bnd = grid_of(p)
+            regimes = chains[p].state_at(bnd[:-1] - t0) if chains[p].switch_times.size \
+                else np.full(steps[p], y[p])
+            paths.append(_collect_path(bnd, X_all[p], regimes, jidx[p], jump_ks,
+                                       t0 + chains[p].switch_times, int(stop[p]),
+                                       cfg.record_stride, () if ridx is None else ridx[p]))
     return BatchResult(
         x_end=x_end,
         y_end=y_end,
         h_end=h_hist[rows, n_applied],
         exploded=exploded,
-        explosion_time=np.where(exploded, bounds[rows, stop], np.nan),
+        explosion_time=t_stop,
         sup_norm=sup,
         jump_times=jump_times,
         jump_ks=jump_ks,
@@ -679,6 +873,12 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         record_alive=rec_alive,
         paths=paths,
     )
+
+
+def _last(prod_cum):
+    """The carry for the next chunk: the last column of a chunk's products and sums."""
+    prod, cum = prod_cum
+    return prod[:, -1].copy(), None if cum is None else cum[:, -1].copy()
 
 
 def _walk(X, m_fac, u_add, lo, hi, x_lo):
@@ -824,21 +1024,34 @@ def simulate_ensemble(
 
     Each path derives its own streams from its index, so the result does not
     depend on how paths are grouped.  ``threads`` is accepted, and recorded
-    in CLI manifests, but no longer changes how paths run: they run in
-    blocks of 8 on the calling thread.
+    in CLI manifests, but no longer changes how paths run: they run on the
+    calling thread, one :func:`simulate_batch` block at a time (see
+    :func:`_plan`).  More than ``MAX_RESULT_BYTES`` of per-path results
+    raises :class:`ConfigInvalid` before anything is allocated.
     """
     if n_paths < 1:
         raise ConfigInvalid("n_paths must be >= 1")
+    if not 0.0 < horizon < math.inf:
+        raise ConfigInvalid("window must be finite with positive length")
     if record_times is None:
         record_times = np.linspace(0.0, horizon, 201)
     rec = np.asarray(record_times, dtype=float)
 
+    # the result arrays are sized by the caller's numbers, so refuse them
+    # before allocating
+    need = 8 * n_paths * (rec.size + 1)
+    if need > MAX_RESULT_BYTES:
+        raise ConfigInvalid(f"{n_paths} paths with {rec.size} record times need {need} bytes of "
+                            f"results, more than {MAX_RESULT_BYTES}")
     per_path_sq = np.full((n_paths, rec.size), np.nan)
     sups_all = np.empty(n_paths)
     n_exploded = 0
-    # a block's stream bundles (about 3 kB each) live until its batch ends
-    for lo in range(0, n_paths, 8):
-        hi = min(lo + 8, n_paths)
+    # one block per batch, sized as the integrator sizes them; a block's
+    # stream bundles (about 3 kB each) live until its batch ends
+    base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
+    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim)[0]
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
         res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,
                              [policy.path_streams(i) for i in range(lo, hi)], record_times=rec)
         for p, (values, alive) in enumerate(zip(res.record_values, res.record_alive)):

@@ -84,6 +84,12 @@ def test_prob_probe_frozen_system_never_exceeds():
     assert "truncated" in res.notes
 
 
+@pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+def test_prob_probe_refuses_a_delta_that_is_not_a_positive_norm(delta):
+    with pytest.raises(ValueError, match="delta"):
+        probe_stability_in_probability(frozen_spec(), 5.0, 1.0, 10, [1.0, delta], RngPolicy(0))
+
+
 def test_prob_probe_case2_decreasing_in_delta():
     spec = spec_from_dict(build_preset("case2"))
     res = probe_stability_in_probability(spec, 5.0, 5.0, 400, [1.0, 0.1, 0.01], RngPolicy(0))

@@ -116,6 +116,11 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "0", "--krange", "1:2",
       "--inner", "3"], "paths"),
     (["probe", "--preset", "case2", "--kind", "bound", "--paths", "-1"], "paths"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--grid=-1,1", "--paths", "5"],
+     "record times"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas=-1"], "delta"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas", "0"], "delta"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "1000000000"], "bytes"),
 ])
 def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -134,6 +139,11 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
       "--inner", "3"], "paths"),
     (["probe", "--preset", "case2", "--kind", "bound", "--paths", "-1"], "paths"),
     (["probe", "--preset", "case2", "--kind", "meansq", "--dt", "1e-300"], "dt_max"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--grid=-1,1", "--paths", "5"],
+     "record times"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas=-1"], "delta"),
+    (["probe", "--preset", "case2", "--kind", "prob", "--deltas", "0"], "delta"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "1000000000"], "bytes"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zenosde import simulate
 from zenosde.markov import sample_ctmc
 from zenosde.simulate import (
     ConfigInvalid,
@@ -438,3 +440,137 @@ def test_step_grid_that_cannot_be_built_is_refused(t0, t1, dt_max):
     with pytest.raises(ConfigInvalid, match="dt_max"):
         simulate_batch(spec, IntegratorConfig(dt_max=dt_max), t0, t1, spec.x0, 1, 1,
                        [RngPolicy(0).path_streams(0)])
+
+
+# ---------------------------------------------------------------------------
+# record times and result sizes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("record_times", [[-1.0, 1.0], [0.5, 1.5], [math.nan], [0.5, math.inf]])
+def test_record_times_outside_the_window_are_refused(record_times):
+    spec = make_spec()
+    with pytest.raises(ConfigInvalid, match="record times"):
+        simulate_batch(spec, IntegratorConfig(), 0.0, 1.0, spec.x0, 1, 1,
+                       [RngPolicy(0).path_streams(0)], record_times=np.array(record_times))
+    # the window's own ends are record times a batch can take
+    res = simulate_batch(spec, IntegratorConfig(), 0.0, 1.0, spec.x0, 1, 1,
+                         [RngPolicy(0).path_streams(0)], record_times=np.array([0.0, 1.0]))
+    assert res.record_values[0, 0, 0] == spec.x0[0]
+
+
+def test_ensemble_results_larger_than_the_cap_are_refused_before_allocating():
+    # 10**9 paths would need 16 GB of per-path results
+    spec = make_spec()
+    with pytest.raises(ConfigInvalid, match="bytes"):
+        simulate_ensemble(spec, IntegratorConfig(), 1.0, 10**9, RngPolicy(0),
+                          record_times=np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# full-horizon paths: one impulse loop per block, steps in chunks
+# ---------------------------------------------------------------------------
+
+def _additive_spec():
+    return make_spec(
+        drift={"kind": "constant", "values": [0.4, -0.2]},
+        diffusion={"values": [0.5, 1.0]},
+        xi_generator={"q": [[-1.0, 1.0], [1.0, -1.0]]},
+        jump={"kind": "exp-mark-clamped", "alpha": 1.0, "sign": -1},
+        eta_transition={"p": [[0.5, 0.5], [0.5, 0.5]]},
+        schedule={"kind": "harmonic-to-point", "t_star": 2.0, "c": 1.0, "k_max": 30},
+        initial={"x0": [2.0], "y0": 1, "h0": 1},
+    )
+
+
+def _dim2_spec():
+    return spec_from_dict({
+        "drift": {"kind": "linear-per-regime", "values": [-0.5, 0.3], "dim": 2},
+        "diffusion": {"kind": "linear-per-regime", "values": [0.4, 0.9], "dim": 2},
+        "jump": {"kind": "scale-poly", "scale": 0.3},
+        "schedule": {"kind": "harmonic-to-point", "t_star": 2.0, "c": 1.0, "k_max": 40,
+                     "delta_min": 1e-9},
+        "xi_generator": {"q": [[-2.0, 2.0], [2.0, -2.0]]},
+        "eta_transition": {"p": [[1.0]]},
+        "initial": {"x0": [1.0, -2.0], "y0": 1, "h0": 1},
+        "horizon": 5.0,
+    })
+
+
+def _cascade_spec():
+    # no switching, so every path's columns are the shared grid's
+    return make_spec(
+        drift={"values": [-5.0, 0.0]},
+        diffusion={"values": [0.1, 0.1]},
+        xi_generator={"q": [[0.0, 0.0], [0.0, 0.0]]},
+        jump={"kind": "custom-sequence", "maps": [[1.0, 0.5]]},
+        schedule={"kind": "explicit-list", "times": [50.0]},
+    )
+
+
+# name: (spec, window end, dt_max, starting regimes, keyword arguments, bundles of path j)
+LONG_WINDOWS = {
+    "case1": (lambda: spec_from_dict(build_preset("case1")), 5.0, 1e-3, None, {},
+              RngPolicy(31).path_streams),
+    "case2": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, {},
+              RngPolicy(32).path_streams),
+    "case3": (lambda: spec_from_dict(build_preset("case3")), 5.0, 1e-3, None, {},
+              RngPolicy(4).path_streams),
+    "intro": (lambda: spec_from_dict(build_preset("intro")), 5.0, 1e-3, None, {},
+              RngPolicy(33).path_streams),
+    "additive": (_additive_spec, 5.0, 1e-3, None, {}, RngPolicy(34).path_streams),
+    "dim2": (_dim2_spec, 5.0, 1e-3, None, {}, RngPolicy(35).path_streams),
+    "cascade": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, {}, RngPolicy(3).path_streams),
+    "cascade-walked": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, {"force_sequential": True},
+                       RngPolicy(3).path_streams),
+    "aliased": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, {},
+                lambda j: RngPolicy(36).aux_streams_batch(2, [(j,)])[0]),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_WINDOWS))
+def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch, name):
+    make, t1, dt_max, regimes, kw, streams_of = LONG_WINDOWS[name]
+    spec = make()
+    cfg = IntegratorConfig(dt_max=dt_max)
+    n = 6
+    y = spec.y0 if regimes is None else regimes
+    base, _, _, base_jidx = simulate._base_boundaries(spec.realization(), 0.0, t1, dt_max)
+    # chunks as long as the first jump's column put a chunk edge on that
+    # column and on a record time at twice it (for a path with no switch
+    # before them: every cascade path), and inside segments elsewhere
+    span = int(base_jidx[0])
+    rec = np.unique(base[[0, span + 3, min(2 * span, base.size - 1), base.size - 1]])
+    kw = dict(kw, record_times=rec)
+    monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 30)
+    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] is None
+    whole = simulate_batch(spec, cfg, 0.0, t1, spec.x0, y, spec.h0,
+                           [streams_of(j) for j in range(n)], **kw)
+    monkeypatch.setattr(simulate, "_WORK_BYTES", span * 128 * spec.dim)
+    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] == span
+    chunked = _assert_batch_matches_alone(spec, cfg, 0.0, t1, spec.x0, y, spec.h0, streams_of,
+                                          n, **kw)
+    for name_ in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
+        assert getattr(chunked, name_).tobytes() == getattr(whole, name_).tobytes(), name_
+    for p in range(n):
+        k = chunked.n_jumps[p]
+        for name_ in ("marks", "x_before", "x_after"):
+            assert getattr(chunked, name_)[p, :k].tobytes() == getattr(whole, name_)[p, :k].tobytes()
+
+
+def test_full_horizon_batch_work_memory_stays_near_the_budget():
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig()
+    pol = RngPolicy(81)
+    rec = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
+    # caches and lazy imports first
+    simulate_batch(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0, [pol.path_streams(200)],
+                   record_times=rec)
+    streams = [pol.path_streams(i) for i in range(200)]
+    tracemalloc.start()
+    try:
+        simulate_batch(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0, streams, record_times=rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of these 200 paths would hold about 120 MB
+    assert peak < 4 * simulate._WORK_BYTES
