@@ -15,21 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import LyapunovSpec, _segment_times
+from .lyapunov import _INNER_BUNDLES, LyapunovSpec, _segment_times, _values
 from .simulate import (
+    MAX_RESULT_BYTES,
+    ConfigInvalid,
     IntegratorConfig,
     RngPolicy,
     simulate_batch,
     simulate_ensemble,
-    simulate_window,
 )
+from .simulate import simulate_window  # not called here; bench/tracing.py wraps this name
 from .system import Report, SystemSpec, derive_constants
 
 _AUX_OUTER = 3
-# stream bundles alive at once in the supermartingale probe's inner level;
-# each holds about 1 kB, and 4096 of them raised criterion 05's peak memory by
-# about 12%, against 1.5% for 1024
-_INNER_BUNDLES = 1024
 _Z95 = 1.959963984540054
 
 
@@ -74,9 +72,16 @@ def verify_segment_moment_bound(
 
     Paths start from the configured initial condition placed at the segment
     start, so the right side's ``E|x(t_k)|^2`` is the same ensemble's value
-    there.
+    there.  Path ``i`` draws from ``policy.aux_streams(_AUX_OUTER, k, i)``;
+    the paths run as :func:`simulate_batch` calls of at most
+    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.
     """
     cfg = cfg or IntegratorConfig()
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if 8 * n_paths > MAX_RESULT_BYTES:
+        raise ConfigInvalid(f"{n_paths} paths need {8 * n_paths} bytes of sups, "
+                            f"more than {MAX_RESULT_BYTES}")
     consts = derive_constants(spec)
     if not math.isfinite(consts.c_growth):
         raise ConstantsUnavailable("growth constant is infinite for this family")
@@ -86,10 +91,12 @@ def verify_segment_moment_bound(
     t_lo, t_hi = _segment_times(spec, k)
 
     sups = np.empty(n_paths)
-    for i in range(n_paths):
-        streams = policy.aux_streams(_AUX_OUTER, k, i)
-        res = simulate_window(spec, cfg, t_lo, t_hi, spec.x0, spec.y0, spec.h0, streams)
-        sups[i] = res.sup_norm ** 2
+    for lo in range(0, n_paths, _INNER_BUNDLES):
+        i = np.arange(lo, min(lo + _INNER_BUNDLES, n_paths))
+        streams = policy.aux_streams_batch(_AUX_OUTER, np.column_stack((np.full(i.size, k), i)))
+        res = simulate_batch(spec, cfg, t_lo, t_hi, spec.x0, spec.y0, spec.h0, streams)
+        # Python's scalar power, as a lone path's float result was squared
+        sups[i] = [s ** 2 for s in res.sup_norm.tolist()]
     lhs = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     upper = lhs + _Z95 * se
@@ -250,6 +257,12 @@ def probe_supermartingale(
     at each requested segment the inner level continues every outer state to
     the next skeleton point.  The paired difference per outer path keeps the
     comparison on one probability space.
+
+    The outer paths' states at every skeleton point, their stream bundles
+    (about 1 kB each) and one batch of inner bundles (``n_inner`` of them
+    when that is more than ``_INNER_BUNDLES``) are sized by the caller's
+    numbers; more than ``MAX_RESULT_BYTES`` of either raises
+    :class:`ConfigInvalid` before anything is built.
     """
     cfg = cfg or IntegratorConfig()
     ks = sorted(int(k) for k in k_range)
@@ -263,6 +276,14 @@ def probe_supermartingale(
         if k not in entries:
             raise ValueError(f"skeleton index {k} is not realized")
     skeleton = sorted({entries[k] for k in needed})
+    # per outer path: x, y, h and alive, live and at every skeleton point,
+    # and its bundle
+    for what, need in (
+        (f"{n_outer} outer paths", n_outer * ((len(skeleton) + 1) * (8 * spec.dim + 17) + 1024)),
+        (f"{n_inner} inner paths", n_inner * 1024),
+    ):
+        if need > MAX_RESULT_BYTES:
+            raise ConfigInvalid(f"{what} need {need} bytes, more than {MAX_RESULT_BYTES}")
 
     # outer sweep: all paths advance through each skeleton window as one
     # batch, each path on its own stream across windows
@@ -296,20 +317,15 @@ def probe_supermartingale(
             group = idx[lo : lo + per_group]
             # the continuations of a group of outer paths run as one batch:
             # row p * n_inner + j continues outer path i = group[p] on the key
-            # (k, i, j); v is evaluated per path, since a vectorised power
-            # can round differently
+            # (k, i, j)
             keys = np.column_stack((np.full(group.size * n_inner, k), np.repeat(group, n_inner),
                                     np.tile(j, group.size)))
             res = simulate_batch(spec, cfg, t_lo, t_hi, np.repeat(xs[group], n_inner, axis=0),
                                  np.repeat(ys[group], n_inner), np.repeat(hs[group], n_inner),
                                  policy.aux_streams_batch(_AUX_OUTER, keys))
-            inner = np.asarray([
-                float(v.value(t_hi, y_end, h_end, x_end))
-                for y_end, h_end, x_end in zip(res.y_end.tolist(), res.h_end.tolist(), res.x_end)
-            ]).reshape(group.size, n_inner)
-            for i, row in zip(group.tolist(), inner):
-                v_now.append(float(v.value(t_lo, int(ys[i]), int(hs[i]), xs[i])))
-                v_next.append(float(row.mean()))
+            inner = np.asarray(_values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end))
+            v_now += _values(v, t_lo, ys[group].tolist(), hs[group].tolist(), xs[group])
+            v_next += [float(row.mean()) for row in inner.reshape(group.size, n_inner)]
         diffs = np.subtract(v_next, v_now)
         if diffs.size == 0:
             rows.append({

@@ -26,11 +26,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simulate import IntegratorConfig, RngPolicy, simulate_window
+from .simulate import IntegratorConfig, RngPolicy, simulate_batch
+from .simulate import simulate_window  # not called here; bench/tracing.py wraps this name
 from .system import JumpFamily, Report, SystemSpec
 
 _AUX_DISCRETE_OP = 2
 _AUX_WIO = 4
+# stream bundles derived and run at once by a nested Monte Carlo level (the
+# discrete operator, the segment moment bound, the supermartingale probe's
+# inner level); each holds about 1 kB, and 4096 of them raised criterion 05's
+# peak memory by about 12%, against 1.5% for 1024
+_INNER_BUNDLES = 1024
 
 
 class MissingDerivatives(ValueError):
@@ -170,19 +176,46 @@ def discrete_lyapunov_operator(
     k-th realized jump time through the jump ending the segment, averages
     the next-skeleton value of ``v`` and subtracts ``v`` at the start state.
     Returns ``(estimate, stderr)``.
+
+    Continuation ``j`` draws from ``policy.aux_streams(_AUX_DISCRETE_OP, k,
+    j)``; the continuations run as :func:`simulate_batch` calls of at most
+    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.
     """
     cfg = cfg or IntegratorConfig()
+    if mc < 1:
+        raise ValueError(f"mc must be >= 1, got {mc}")
     y, h, x = state
     t_lo, t_hi = _segment_times(spec, k)
     v0 = float(v.value(t_lo, y, h, np.atleast_1d(np.asarray(x, dtype=float))))
     vals = np.empty(mc)
-    for j in range(mc):
-        streams = policy.aux_streams(_AUX_DISCRETE_OP, k, j)
-        res = simulate_window(spec, cfg, t_lo, t_hi, x, y, h, streams)
-        vals[j] = float(v.value(t_hi, res.y_end, res.h_end, res.x_end))
+    for lo in range(0, mc, _INNER_BUNDLES):
+        j = np.arange(lo, min(lo + _INNER_BUNDLES, mc))
+        streams = policy.aux_streams_batch(_AUX_DISCRETE_OP, np.column_stack((np.full(j.size, k), j)))
+        res = simulate_batch(spec, cfg, t_lo, t_hi, x, y, h, streams)
+        vals[j] = _values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end)
     est = float(vals.mean()) - v0
     stderr = float(vals.std(ddof=1) / math.sqrt(mc)) if mc > 1 else float("inf")
     return est, stderr
+
+
+def _values(v: LyapunovSpec, t: float, ys: list, hs: list, xs: np.ndarray) -> list:
+    """``[float(v.value(t, y, h, x)) for y, h, x in zip(ys, hs, xs)]``, bit for bit.
+
+    The norms are taken over the batch with the formula a lone call uses;
+    the power is Python's scalar ``**`` per row, which rounds as numpy's
+    scalar power does, where an array power need not.  Python's ``**``
+    raises on overflow where numpy's gives ``inf``, so such a batch falls
+    back to the lone calls, as ``custom-smooth`` always does.
+    """
+    if v.kind != "custom-smooth":
+        r = np.linalg.norm(np.asarray(xs, dtype=float), axis=-1).tolist()
+        try:
+            if v.kind == "power":
+                return [v.gamma * float(y) * ri ** v.beta for y, ri in zip(ys, r)]
+            return [v.coeff * ri ** 2 for ri in r]
+        except OverflowError:
+            pass
+    return [float(v.value(t, y, h, x)) for y, h, x in zip(ys, hs, xs)]
 
 
 def _segment_times(spec: SystemSpec, k: int) -> tuple:

@@ -194,26 +194,33 @@ def sample_ctmc(gen: GeneratorMatrix, y0: int, horizon: float, rng: np.random.Ge
 
     Holding time in state ``i`` is exponential with the exit rate of ``i``;
     the next state is drawn from the embedded jump probabilities.  Absorbing
-    states simply hold to the horizon.
+    states simply hold to the horizon.  A path without a switch (an
+    absorbing start, or a first holding time of at least ``horizon``) is
+    returned straight after that first draw.
     """
     gen._check_state(y0)
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     rates, cdfs = gen._sampling_tables()
+    rate = rates[y0 - 1]
+    if rate > 0.0:
+        t = rng.exponential(1.0 / rate)
+    if rate <= 0.0 or t >= horizon:
+        return ChainPath(start=0.0, end=horizon, switch_times=np.empty(0),
+                         states=np.array([y0], dtype=np.int64))
     times = []
     states = [y0]
-    t = 0.0
     y = y0
     while True:
+        y = _draw_categorical(cdfs[y - 1], rng.random())
+        times.append(t)
+        states.append(y)
         rate = rates[y - 1]
         if rate <= 0.0:
             break
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
-        y = _draw_categorical(cdfs[y - 1], rng.random())
-        times.append(t)
-        states.append(y)
     return ChainPath(
         start=0.0,
         end=horizon,

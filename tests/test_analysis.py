@@ -72,6 +72,54 @@ def test_bound_never_violated_on_conforming_presets(preset, segment):
     assert res.ok
 
 
+@pytest.mark.parametrize("n_paths", [0, -1])
+def test_bound_refuses_fewer_than_one_path(n_paths):
+    spec = spec_from_dict(build_preset("case2"))
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        verify_segment_moment_bound(spec, 1, n_paths, RngPolicy(0))
+
+
+def _bound_spec(drift, x0, h0=1):
+    cfg = build_preset("case2")
+    cfg["drift"] = {"kind": "linear-per-regime", "values": drift, "dim": len(x0)}
+    cfg["diffusion"]["dim"] = len(x0)
+    cfg["initial"] = {"x0": x0, "y0": 1, "h0": h0}
+    return spec_from_dict(cfg)
+
+
+BOUND_CASES = {
+    "case1": lambda: spec_from_dict(build_preset("case1")),
+    "case2": lambda: spec_from_dict(build_preset("case2")),
+    "dim2": lambda: _bound_spec([-0.5, 0.3], [1.0, -2.0], h0=2),
+    # a fast-growing start near the threshold, where 1 of these 11 paths
+    # explodes
+    "exploding": lambda: _bound_spec([6.0, 9.0], [3e11]),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_bound_batches_match_one_path_at_a_time(case, cap, monkeypatch):
+    # caps of 1 and 3 paths per batch, the latter leaving a short final batch
+    import zenosde.analysis as analysis
+
+    if cap is not None:
+        monkeypatch.setattr(analysis, "_INNER_BUNDLES", cap)
+    spec, policy, k, n = BOUND_CASES[case](), RngPolicy(17), 2, 11
+    entries = dict(spec.realization().entries)
+    sups = np.empty(n)
+    exploded = 0
+    for i in range(n):
+        res = simulate_window(spec, IntegratorConfig(), entries[k], entries[k + 1], spec.x0,
+                              spec.y0, spec.h0, policy.aux_streams(_AUX_OUTER, k, i))
+        sups[i] = res.sup_norm ** 2
+        exploded += res.exploded
+    res = verify_segment_moment_bound(spec, k, n, policy)
+    assert res.lhs_mean == float(sups.mean())
+    assert res.lhs_stderr == float(sups.std(ddof=1) / math.sqrt(n))
+    assert (exploded > 0) == (case == "exploding")
+
+
 # ---------------------------------------------------------------------------
 # stability in probability
 # ---------------------------------------------------------------------------

@@ -121,6 +121,9 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     (["probe", "--preset", "case2", "--kind", "prob", "--deltas=-1"], "delta"),
     (["probe", "--preset", "case2", "--kind", "prob", "--deltas", "0"], "delta"),
     (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--inner", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "1000000000"], "bytes"),
 ])
 def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -144,6 +147,9 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     (["probe", "--preset", "case2", "--kind", "prob", "--deltas=-1"], "delta"),
     (["probe", "--preset", "case2", "--kind", "prob", "--deltas", "0"], "delta"),
     (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--inner", "1000000000"], "bytes"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--paths", "1000000000"], "bytes"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"

@@ -18,7 +18,8 @@ from zenosde.lyapunov import (
     wio_evaluate,
     wio_finite_difference,
 )
-from zenosde.simulate import RngPolicy
+from zenosde.lyapunov import _AUX_DISCRETE_OP, _values
+from zenosde.simulate import IntegratorConfig, RngPolicy, simulate_window
 from zenosde.system import spec_from_dict
 from zenosde.cli import build_preset
 
@@ -239,6 +240,89 @@ def test_discrete_operator_invalid_segment():
     spec = spec_from_dict(build_preset("case2"))
     with pytest.raises(InvalidSegment):
         discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 200, 10, RngPolicy(0))
+
+
+@pytest.mark.parametrize("mc", [0, -3])
+def test_discrete_operator_refuses_fewer_than_one_sample(mc):
+    spec = spec_from_dict(build_preset("case2"))
+    with pytest.raises(ValueError, match="mc must be >= 1"):
+        discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 1, mc, RngPolicy(0))
+
+
+def _dim2_spec():
+    cfg = build_preset("case2")
+    cfg["drift"] = {"kind": "linear-per-regime", "values": [-0.5, 0.3], "dim": 2}
+    cfg["diffusion"] = {"kind": "linear-per-regime", "values": [0.4, 0.9], "dim": 2}
+    cfg["initial"] = {"x0": [1.0, -2.0], "y0": 1, "h0": 2}
+    return spec_from_dict(cfg)
+
+
+def _y_x2_plus_h(t, y, h, x):
+    return float(y) * float(np.sum(np.asarray(x) ** 2)) + h + t
+
+
+OPERATOR_CASES = {
+    "case1": (lambda: spec_from_dict(build_preset("case1")), 2),
+    "case2": (lambda: spec_from_dict(build_preset("case2")), 2),
+    # from x0 = 10, 4 of these 7 continuations explode
+    "case3": (lambda: spec_from_dict(build_preset("case3")), 10),
+    "dim2": (_dim2_spec, 2),
+}
+OPERATOR_VS = {
+    "power": LyapunovSpec(kind="power", gamma=1.3, beta=0.025),
+    "quadratic": LyapunovSpec(kind="quadratic", coeff=1.5),
+    "custom-smooth": LyapunovSpec(kind="custom-smooth", fn_value=_y_x2_plus_h),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+@pytest.mark.parametrize("vname", sorted(OPERATOR_VS))
+@pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+def test_discrete_operator_batches_match_one_path_at_a_time(case, vname, cap, monkeypatch):
+    # caps of 1 and 3 continuations per batch, the latter leaving a short
+    # final batch
+    import zenosde.lyapunov as lyapunov
+
+    if cap is not None:
+        monkeypatch.setattr(lyapunov, "_INNER_BUNDLES", cap)
+    make, k = OPERATOR_CASES[case]
+    spec, v, policy, mc = make(), OPERATOR_VS[vname], RngPolicy(23), 7
+    state = (spec.y0, spec.h0, spec.x0)
+    entries = dict(spec.realization().entries)
+    t_lo, t_hi = entries[k], entries[k + 1]
+    vals = np.empty(mc)
+    exploded = 0
+    for j in range(mc):
+        res = simulate_window(spec, IntegratorConfig(), t_lo, t_hi, spec.x0, spec.y0, spec.h0,
+                              policy.aux_streams(_AUX_DISCRETE_OP, k, j))
+        vals[j] = float(v.value(t_hi, res.y_end, res.h_end, res.x_end))
+        exploded += res.exploded
+    v0 = float(v.value(t_lo, spec.y0, spec.h0, spec.x0))
+    expected = (float(vals.mean()) - v0, float(vals.std(ddof=1) / math.sqrt(mc)))
+    assert discrete_lyapunov_operator(spec, v, state, k, mc, policy) == expected
+    assert (exploded > 0) == (case == "case3")
+
+
+def test_batch_values_match_lone_calls_where_an_array_power_would_not():
+    rng = np.random.default_rng(7)
+    r = np.exp(rng.uniform(-30.0, 30.0, 5_000))
+    power = LyapunovSpec(kind="power", gamma=1.3, beta=0.025)
+    # the test has teeth only if an array power rounds some of these norms
+    # differently from the scalar power
+    assert (np.power(r, power.beta) != np.array([ri ** power.beta for ri in r.tolist()])).any()
+    # zero, non-finite and overflowing norms (1e200 ** 2.5 overflows) too
+    r = np.concatenate((r, [0.0, np.inf, np.nan, 1e200]))
+    ys = rng.integers(1, 3, r.size).tolist()
+    hs = rng.integers(1, 3, r.size).tolist()
+    for xs in (r[:, None] * rng.choice([-1.0, 1.0], (r.size, 1)),
+               r[:, None] * rng.normal(size=(r.size, 2))):
+        for v in (power, LyapunovSpec(kind="power", gamma=0.7, beta=2.5),
+                  LyapunovSpec(kind="quadratic", coeff=1.5),
+                  LyapunovSpec(kind="custom-smooth", fn_value=_y_x2_plus_h)):
+            with np.errstate(all="ignore"):
+                lone = [float(v.value(0.5, y, h, x)) for y, h, x in zip(ys, hs, xs)]
+                batch = _values(v, 0.5, ys, hs, xs)
+            assert [b.hex() for b in batch] == [a.hex() for a in lone], (v.kind, v.beta, xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from zenosde.markov import (
     validate_generator,
     validate_transition_matrix,
 )
+from zenosde.markov import ChainPath, _draw_categorical
 
 SYM2 = [[-1.0, 1.0], [1.0, -1.0]]
 
@@ -110,6 +112,54 @@ def test_chain_path_invariants(rng):
             t = path.switch_times[0]
             assert path.state_at(t) == path.states[1]
             assert path.state_at(t - 1e-12) == path.states[0]
+
+
+def _sample_ctmc_loop(gen, y0, horizon, rng):
+    """The chain sampler as one loop over holding times (the reference)."""
+    rates, cdfs = gen._sampling_tables()
+    times = []
+    states = [y0]
+    t = 0.0
+    y = y0
+    while True:
+        rate = rates[y - 1]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t >= horizon:
+            break
+        y = _draw_categorical(cdfs[y - 1], rng.random())
+        times.append(t)
+        states.append(y)
+    return ChainPath(start=0.0, end=horizon, switch_times=np.asarray(times, dtype=float),
+                     states=np.asarray(states, dtype=np.int64))
+
+
+def _first_hold(gen, y0, rng):
+    return copy.deepcopy(rng).exponential(1.0 / gen.exit_rate(y0))
+
+
+@pytest.mark.parametrize("q,y0,horizon", [
+    # absorbing start: no draw at all
+    ([[0.0, 0.0], [1.0, -1.0]], 1, 5.0),
+    # first holding time exactly at the horizon, and past it
+    (SYM2, 1, _first_hold),
+    ([[-0.01, 0.01], [1.0, -1.0]], 1, 0.5),
+    # one switch into an absorbing state
+    ([[-50.0, 50.0], [0.0, 0.0]], 1, 5.0),
+    # many switches (about 500)
+    ([[-50.0, 30.0, 20.0], [40.0, -60.0, 20.0], [5.0, 45.0, -50.0]], 2, 10.0),
+])
+def test_ctmc_matches_one_loop_over_holding_times(q, y0, horizon):
+    gen = validate_generator(q)
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = horizon(gen, y0, rng) if callable(horizon) else horizon
+        path, ref = sample_ctmc(gen, y0, h, rng), _sample_ctmc_loop(gen, y0, h, ref_rng)
+        assert (path.start, path.end) == (ref.start, ref.end)
+        for a, b in ((path.switch_times, ref.switch_times), (path.states, ref.states)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 def test_ctmc_rejects_bad_arguments(rng):
