@@ -13,9 +13,10 @@ the (vanishingly rare) case of a degenerate cumulative product.
 
 :func:`simulate_batch` is the one integration primitive: it runs many paths
 over one window per call, and :func:`simulate_window` is its one-path case.
-It runs the paths in blocks that share one Python loop over the impulses;
-the work arrays of a long window run in chunks of steps, so their memory is
-bounded by one byte budget, ``_WORK_BYTES``, whatever the path count.
+It runs the paths in blocks that share one Python loop over the impulses,
+and each block through one loop over chunks: the whole block, or each path
+alone in chunks of steps.  The work arrays of a chunk, switch times counted,
+stay within one byte budget, ``_WORK_BYTES``, whatever the path count.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ class BatchResult:
     ``explosion_time`` is NaN where a path did not explode.  Path ``p``
     applied the window's first ``n_jumps[p]`` impulses; their marks and
     pre/post-jump states are ``marks[p, :n]``, ``x_before[p, :n]`` and
-    ``x_after[p, :n]`` (later entries are meaningless).
+    ``x_after[p, :n]``.  Later entries are no part of the path's result, and
+    are 0 past the jump where the batch's impulse loop ended.
     """
 
     x_end: np.ndarray                     # (P, dim)
@@ -459,12 +461,12 @@ def simulate_batch(
     leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` (or every path, with
     ``force_sequential``) is walked step by step instead.
 
-    The paths run in blocks that share one impulse loop, with work arrays
-    bounded by ``_WORK_BYTES`` (see :func:`_plan`).  Windows short enough
-    for several paths to fit in one chunk run as one chunk per block.  In a
-    longer window each path runs alone in chunks of steps: once for the
-    products at the jumps, and again, after the impulse loop, for its states,
-    with its normals drawn again from a copy of its generator.  ``cumprod``
+    The paths run in blocks that share one impulse loop, and each block in
+    chunks, twice: once for the products at the jumps, and again, after the
+    impulse loop, for the states.  A block whose work arrays fit
+    ``_WORK_BYTES`` (see :func:`_plan`), switch times counted, is one chunk
+    and keeps its products; otherwise each path runs alone in chunks of steps
+    and draws its normals again from a copy of its generator.  ``cumprod``
     and ``cumsum`` are sequential, so continuing them from the previous
     chunk's last column gives the same bits.
     """
@@ -516,6 +518,9 @@ def _plan(width: int, n_jumps: int, dim: int) -> tuple:
     once for the products at the jumps, and once, after the impulses, for the
     states.  Its block is then as many paths as ``_WORK_BYTES`` holds of
     their per-jump state, all sharing one impulse loop.
+
+    ``width`` cannot count switch times, drawn later; a block they widen past
+    twice the budget runs its paths in chunks of steps too.
     """
     step_bytes = 128 * dim
     fit = _WORK_BYTES // (max(width, 1) * step_bytes)
@@ -538,7 +543,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     n_paths, dim = x.shape
     n_jumps = jump_times.size
     rows = np.arange(n_paths)
-    r2 = rows[:, None]
     thr = cfg.overflow_threshold
 
     # the shared grid is the base grid plus the record times; a path's own
@@ -576,25 +580,41 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     steps = grid.size - 1 + n_new
     width = int(steps.max())
 
+    # a chunk is paths rows[sel] over columns a..b: the whole block, or, past
+    # the budget (say with a fast regime chain), one path in chunks of steps
+    if chunk is None and n_paths * width * 128 * dim <= 2 * _WORK_BYTES:
+        chunks = [(slice(None), 0, width)]
+    else:
+        chunk = chunk or max(1, _WORK_BYTES // (128 * dim))
+        chunks = [(slice(p, p + 1), a, min(a + chunk, int(steps[p])))
+                  for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
+    # one chunk keeps its products for the second pass; otherwise a path
+    # draws its normals again, from a copy of its generator made before the
+    # first draw
+    one_chunk = len(chunks) == 1
+
     def grid_of(p):
         """Path ``p``'s own step grid."""
         return np.insert(grid, *inserted[p]) if p in inserted else grid
 
-    def width_of(sel):
-        """The last column of paths ``sel``."""
-        return width if chunk is None else int(steps[sel.start])
-
-    if chunk is None:
-        # one chunk: every path's grid, padded by repeating its end point
-        bounds = grid[None]
-        if inserted:
-            bounds = np.empty((n_paths, width + 1))
-            bounds[:] = grid[-1]
-            bounds[:, : grid.size] = grid
-            for p in inserted:
-                own = grid_of(p)
-                bounds[p, : own.size] = own
-                bounds[p, own.size :] = own[-1]
+    def bounds_of(sel, a, b):
+        """Columns ``a..b`` of the grids of paths ``rows[sel]``, each padded
+        with its end point; one shared row when none has a switch inserted.
+        A lone path needs no padding: its chunks end by its last column."""
+        lo, hi = sel.indices(n_paths)[:2]
+        if hi - lo == 1:
+            return grid_of(lo)[None, a : b + 1]
+        own = [p for p in inserted if lo <= p < hi]
+        if not own:
+            return grid[None, a : b + 1]
+        bnd = np.full((hi - lo, b - a + 1), grid[-1])
+        part = grid[a : b + 1]
+        bnd[:, : part.size] = part
+        for p in own:
+            part = grid_of(p)[a : b + 1]
+            bnd[p - lo, : part.size] = part
+            bnd[p - lo, part.size :] = part[-1]
+        return bnd
 
     tab_a_lin, tab_b_lin, tab_a_con, tab_b_con = _coeff_tables(spec)
     additive = spec.drift.kind == "constant" or spec.diffusion.kind == "constant"
@@ -603,7 +623,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         """Regimes, step factors and additive parts of steps ``a..b-1`` of
         paths ``rows[sel]``, with normals from ``gens``; zero-length padding
         steps keep the starting regime and take normal 0."""
-        bnd = bounds[sel, a : b + 1] if chunk is None else grid_of(sel.start)[None, a : b + 1]
+        bnd = bounds_of(sel, a, b)
         regimes = np.empty((rows[sel].size, b - a), dtype=np.int64)
         regimes[:] = y[sel][:, None]
         ns = (np.minimum(steps[sel], b) - a).tolist()
@@ -647,15 +667,8 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             np.cumsum(q, axis=1, out=cum[:, 1:])
         return prod, cum
 
-    if chunk is None:
-        chunks = [(slice(None), 0, width)]
-    else:
-        chunks = [(slice(p, p + 1), a, min(a + chunk, int(steps[p])))
-                  for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
     gens = [st.wiener for st in streams]
-    # outside one chunk a path draws its normals again for the second pass,
-    # from a copy of its generator taken before the first draw
-    replay = None if chunk is None else [copy.copy(g.bit_generator) for g in gens]
+    replay = None if one_chunk else [copy.copy(g.bit_generator) for g in gens]
 
     # first pass: regimes, products and sums at the jumps, and the extremes
     # of each path's products
@@ -669,32 +682,25 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     def first_pass(sel, a, b, carry):
         regimes, m_fac, u_add = factors(sel, a, b, gens)
         prod, cum = products(m_fac, u_add, a, carry)
-        r = rows[sel]
         absp = np.abs(prod)
         if absp.min() < 1.0 / _CASCADE_LIMIT or absp.max() > _CASCADE_LIMIT:
             needs_walk[sel] |= (absp.min(axis=(1, 2)) < 1.0 / _CASCADE_LIMIT) \
                 | (absp.max(axis=(1, 2)) > _CASCADE_LIMIT)
-        if a == 0 and b >= width_of(sel):   # every jump is in this chunk
-            loc, jc = r2[: len(prod)], jidx[sel]
-            p_start[sel, 1:] = prod[loc, jc]
-            y_pre[sel] = regimes[loc, jc - 1]
-            if cum is not None:
-                c_start[sel, 1:] = cum[loc, jc]
-            return m_fac, u_add, prod, cum
+        # the jumps in columns a+1..b
         jj = jidx[sel] - a
-        pp, ss = ((jj > 0) & (jj <= b - a)).nonzero()
-        rp, jc, ss = r[pp], jj[pp, ss], ss + 1
-        p_start[rp, ss] = prod[pp, jc]
-        y_pre[rp, ss - 1] = regimes[pp, jc - 1]
+        inside = (jj > 0) & (jj <= b - a)
+        pp, jc = inside.nonzero()[0], jj[inside]
+        p_start[sel, 1:][inside] = prod[pp, jc]
+        y_pre[sel][inside] = regimes[pp, jc - 1]
         if cum is not None:
-            c_start[rp, ss] = cum[pp, jc]
+            c_start[sel, 1:][inside] = cum[pp, jc]
         return m_fac, u_add, prod, cum
 
     for sel, a, b in chunks:
         kept = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept[2:]))
     walked = {}
     for p in needs_walk.nonzero()[0].tolist():
-        if chunk is None:
+        if one_chunk:
             m_row, u_row = kept[0][p], None if kept[1] is None else kept[1][p]
         else:
             _, m_fac, u_add = factors(slice(p, p + 1), 0, int(steps[p]),
@@ -710,7 +716,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     x_start[:, 0] = x
     x_pre = np.zeros((n_paths, n_jumps, dim))
     x_post = x_start[:, 1:]
-    h_hist = np.empty((n_paths, n_jumps + 1), dtype=np.int64)
+    h_hist = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
     h_hist[:, 0] = h
     x_cur = x
     h_now = h.tolist()
@@ -745,11 +751,12 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     first = np.zeros(n_paths, dtype=np.int64) - 1
     x_first = np.empty((n_paths, dim))
     n_first = np.empty(n_paths)
-    x_end = np.empty((n_paths, dim))
-    rec_raw = None if rec is None else np.empty((n_paths, rec.size, dim))
+    # the columns of the states returned: each record time's, then the last
+    out_cols = steps[:, None] if ridx is None else np.column_stack((ridx, steps))
+    x_out = np.empty((n_paths, out_cols.shape[1], dim))
     X_all = np.empty((n_paths, width + 1, dim)) if collect_path else None
     def second_pass(sel, a, b, carry):
-        if chunk is None:
+        if one_chunk:
             prod, cum = kept[2:]
         else:
             if a == 0:
@@ -757,12 +764,8 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             prod, cum = products(*factors(sel, a, b, gens)[1:], a, carry)
         r = rows[sel]
         st = starts[sel]
-        whole = a == 0 and b >= width_of(sel)
         # each segment's columns in this chunk
-        if whole:
-            lengths = (np.minimum(ends[sel], b + 1) - st).ravel()
-        else:
-            lengths = np.maximum(np.minimum(ends[sel], b + 1) - np.maximum(st, a), 0).ravel()
+        lengths = np.maximum(np.minimum(ends[sel], b + 1) - np.maximum(st, a), 0).ravel()
 
         def spread(v):
             return np.repeat(v[sel].reshape(-1, dim), lengths, axis=0).reshape(prod.shape)
@@ -770,40 +773,28 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         X = prod / spread(p_start) * spread(x_start)
         if cum is not None:
             X += prod * (cum - spread(c_start))
-        loc = r2[: len(prod)]
-        if whole:
-            X[loc, st] = x_start[sel]
-        else:
-            pp, ss = ((st >= a) & (st <= b)).nonzero()
-            X[pp, st[pp, ss] - a] = x_start[r[pp], ss]
+        inside = (st >= a) & (st <= b)
+        X[inside.nonzero()[0], st[inside] - a] = x_start[sel][inside]
         for i, p in enumerate(r.tolist()):
             if p in walked:
                 X[i] = walked[p][0][np.minimum(np.arange(a, b + 1), steps[p])]
         norms = _norms(X)
-        sup[sel] = np.fmax.reduce(norms, axis=1) if whole else \
-            np.fmax(sup[sel], np.fmax.reduce(norms, axis=1))
+        sup[sel] = np.fmax(sup[sel], np.fmax.reduce(norms, axis=1))
         over = norms > thr
         if over.any():
             hit = (over.any(axis=1) & (first[sel] < 0)).nonzero()[0]
             j = over[hit].argmax(axis=1)
             first[r[hit]], x_first[r[hit]], n_first[r[hit]] = a + j, X[hit, j], norms[hit, j]
-        if whole:
-            x_end[sel] = X[loc[:, 0], steps[sel]]
-            if rec_raw is not None:
-                rec_raw[sel] = X[loc, ridx[sel]]
-        else:
-            pp = (steps[sel] <= b).nonzero()[0]
-            x_end[r[pp]] = X[pp, steps[r[pp]] - a]
-            if rec_raw is not None:
-                rr = ridx[sel]
-                pp, ss = ((rr >= a) & (rr <= b)).nonzero()
-                rec_raw[r[pp], ss] = X[pp, rr[pp, ss] - a]
+        oc = out_cols[sel]
+        inside = (oc >= a) & (oc <= b)
+        x_out[sel][inside] = X[inside.nonzero()[0], oc[inside] - a]
         if X_all is not None:
             X_all[sel, a : b + 1] = X
         return prod, cum
 
     for sel, a, b in chunks:
         kept = second_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept))
+    x_end, rec_raw = x_out[:, -1].copy(), x_out[:, :-1]
 
     # a path stops at its first norm over the threshold, in a lone path's
     # order: a segment's steps, the pre-jump state, the post-jump state; a

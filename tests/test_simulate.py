@@ -527,6 +527,13 @@ LONG_WINDOWS = {
 }
 
 
+def _assert_paths_equal(a, b):
+    assert len(a) == len(b)
+    for p, (one, other) in enumerate(zip(a, b)):
+        for name_, u, v in zip(("times", "states", "regimes", "events"), one, other):
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes(), (p, name_)
+
+
 @pytest.mark.parametrize("name", list(LONG_WINDOWS))
 def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch, name):
     make, t1, dt_max, regimes, kw, streams_of = LONG_WINDOWS[name]
@@ -540,21 +547,31 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     # before them: every cascade path), and inside segments elsewhere
     span = int(base_jidx[0])
     rec = np.unique(base[[0, span + 3, min(2 * span, base.size - 1), base.size - 1]])
-    kw = dict(kw, record_times=rec)
+    kw = dict(kw, record_times=rec, collect_path=True)
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 30)
     assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] is None
     whole = simulate_batch(spec, cfg, 0.0, t1, spec.x0, y, spec.h0,
                            [streams_of(j) for j in range(n)], **kw)
     monkeypatch.setattr(simulate, "_WORK_BYTES", span * 128 * spec.dim)
     assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] == span
+    # each path alone draws its normals again for the second pass
     chunked = _assert_batch_matches_alone(spec, cfg, 0.0, t1, spec.x0, y, spec.h0, streams_of,
                                           n, **kw)
+    # a lone path whose one chunk holds all its steps keeps its products
+    width = base.size - 1 + rec.size
+    monkeypatch.setattr(simulate, "_WORK_BYTES", 3 * width // 2 * 128 * spec.dim)
+    assert simulate._plan(width, base_jidx.size, spec.dim)[1] == 3 * width // 2
+    lone = simulate_batch(spec, cfg, 0.0, t1, spec.x0, np.broadcast_to(y, n)[0], spec.h0,
+                          [streams_of(0)], **kw)
     for name_ in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
         assert getattr(chunked, name_).tobytes() == getattr(whole, name_).tobytes(), name_
-    for p in range(n):
-        k = chunked.n_jumps[p]
+        assert getattr(lone, name_).tobytes() == getattr(whole, name_)[:1].tobytes(), name_
+    for res, p in [(chunked, p) for p in range(n)] + [(lone, 0)]:
+        k = res.n_jumps[p]
         for name_ in ("marks", "x_before", "x_after"):
-            assert getattr(chunked, name_)[p, :k].tobytes() == getattr(whole, name_)[p, :k].tobytes()
+            assert getattr(res, name_)[p, :k].tobytes() == getattr(whole, name_)[p, :k].tobytes()
+    _assert_paths_equal(chunked.paths, whole.paths)
+    _assert_paths_equal(lone.paths, whole.paths[:1])
 
 
 def test_full_horizon_batch_work_memory_stays_near_the_budget():
@@ -574,3 +591,51 @@ def test_full_horizon_batch_work_memory_stays_near_the_budget():
         tracemalloc.stop()
     # one chunk of these 200 paths would hold about 120 MB
     assert peak < 4 * simulate._WORK_BYTES
+
+
+def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
+    # _plan sizes blocks of this window by its 50-step shared grid; a chain
+    # of rate 1e4 adds about 500 switch times to each path
+    preset = build_preset("case2")
+    preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
+    spec = spec_from_dict(preset)
+    cfg = IntegratorConfig()
+    t0, t1 = 1.0, 1.05
+    base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
+    assert simulate._plan(base.size - 1, jump_times.size, spec.dim) == (163, None)
+    pol = RngPolicy(12)
+    simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
+    streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of 163 such paths would hold about 11 MB
+    assert peak < 4 * simulate._WORK_BYTES
+    for j in range(200):
+        alone = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0,
+                               pol.aux_streams_batch(3, [(j,)]))
+        for name in BATCH_FIELDS:
+            assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (name, j)
+
+
+def test_batch_results_do_not_depend_on_what_the_heap_held():
+    # every case3 path passes the threshold before the horizon, so the
+    # impulse loop stops before the window's last jumps
+    spec = spec_from_dict(build_preset("case3"))
+    cfg = IntegratorConfig()
+    pol = RngPolicy(6)
+    runs = []
+    for fill in (0x5A, 0xFF, 0x01):
+        junk = [np.full(2 ** size, fill, dtype=np.uint8) for size in range(8, 20) for _ in range(8)]
+        del junk
+        runs.append(simulate_batch(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0,
+                                   [pol.path_streams(j) for j in range(40)]))
+    assert (runs[0].n_jumps < runs[0].jump_times.size).all()
+    # marks count from 1, so a 0 is an impulse the loop did not reach
+    assert (runs[0].marks[:, -1] == 0).all()
+    for run in runs[1:]:
+        for name in ("marks", "x_before", "x_after", "h_end", "n_jumps"):
+            assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
