@@ -132,6 +132,36 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# the type of each resolved field a manifest may hold; `rerun` refuses a
+# hand-edited field of another type up front, naming it, instead of failing
+# somewhere inside the run
+_RESOLVED_TYPES = (
+    (("command",), lambda v: isinstance(v, str), "a string"),
+    (("seed", "paths", "threads", "record_stride", "segment", "inner"), _is_int, "an integer"),
+    (("dt_max", "horizon", "eps1", "epsilon", "v_gamma", "v_beta"), _is_number, "a number"),
+    (("kmax", "krange"), lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    (("deltas", "grid"), lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    (("eps_search",), lambda v: isinstance(v, bool), "true or false"),
+)
+
+
+def _check_resolved_types(resolved) -> None:
+    if not isinstance(resolved, dict):
+        raise ConfigError("manifest field 'resolved' must be an object")
+    for fields, ok, kind in _RESOLVED_TYPES:
+        for field in fields:
+            if field in resolved and not ok(resolved[field]):
+                raise ConfigError(f"manifest field {field!r} must be {kind}, got {resolved[field]!r}")
+
+
 def _write_manifest(out_dir: Path, resolved: dict) -> None:
     outputs = {
         p.name: _sha256(p)
@@ -446,6 +476,8 @@ def main(argv=None) -> int:
                 manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise ConfigError(f"manifest not found: {args.manifest}")
+            if not isinstance(manifest, dict):
+                raise ConfigError(f"{args.manifest}: a manifest must be a JSON object")
             runs = {"simulate": run_simulate, "check": run_check, "probe": run_probe}
             # another version's integrator would not reproduce the outputs; a
             # manifest without a version meets the missing-key checks below
@@ -455,6 +487,7 @@ def main(argv=None) -> int:
                                   f"zenosde {__version__}; rerun it with {written_by}")
             try:
                 resolved = manifest["resolved"]
+                _check_resolved_types(resolved)
                 if resolved["command"] not in runs:
                     raise ConfigError(f"manifest has unknown command {resolved['command']!r}")
                 return runs[resolved["command"]](resolved, Path(args.out))

@@ -307,7 +307,8 @@ def wio_finite_difference(
 ) -> tuple:
     """Monte Carlo difference quotient ``(E u(t+dt, ...) - u) / dt``.
 
-    Test oracle for :func:`wio_evaluate`, valid off jump times.  One Euler
+    Test oracle for :func:`wio_evaluate` off jump times (a step that holds
+    one is refused, see :func:`wio_finite_difference_battery`).  One Euler
     step with at most one regime switch inside ``(t, t+dt]`` (the neglected
     multi-switch events are ``O(dt^2)``).  Returns ``(estimate, stderr)``.
     """
@@ -328,8 +329,25 @@ def wio_finite_difference_battery(
 ) -> list:
     """Difference quotients for several test functions on shared samples.
 
-    Returns one ``(estimate, stderr)`` pair per entry of ``us``.
+    Returns one ``(estimate, stderr)`` pair per entry of ``us``.  Refuses
+    ``mc < 1``, ``dt`` outside ``(0, inf)`` and a scheduled jump in
+    ``[t, t + dt]``, where the quotient would miss the impulse term.
+
+    Samples run in chunks of at most 2M.  Each chunk draws the step normals
+    ``z1``, then one switch uniform per sample; for the switched samples it
+    then draws the second-leg normals ``z2``, the switch times ``tau`` and
+    the destination uniforms.  Every sample takes the no-switch step and
+    every test function's values at regime ``y``; the switched samples,
+    about ``rate * dt`` of them, are then stepped in two legs and their
+    values overwritten at their destination regime.  So a custom ``fn_value``
+    is also called at ``y`` on samples that then switch.
     """
+    if mc < 1:
+        raise ValueError(f"mc must be >= 1, got {mc}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if any(t <= tau <= t + dt for _, tau in spec.realization().entries):
+        raise ValueError(f"a scheduled jump lies in [t, t + dt] = [{t}, {t + dt}]")
     policy = policy or RngPolicy()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rng = policy.aux_generator(_AUX_WIO, key)
@@ -337,6 +355,8 @@ def wio_finite_difference_battery(
     p_switch = 1.0 - math.exp(-rate * dt) if rate > 0 else 0.0
     cum = np.cumsum(spec.xi_chain.jump_probs(y))
     u0s = [float(u.value(t, y, h, x)) for u in us]
+    a0 = spec.drift.evaluate(t, y, x)
+    b0 = spec.diffusion.evaluate(t, y, x)
 
     totals = [0.0] * len(us)
     totals_sq = [0.0] * len(us)
@@ -345,40 +365,28 @@ def wio_finite_difference_battery(
     while done < mc:
         n = min(chunk, mc - done)
         z1 = rng.standard_normal((n, x.size))
-        sw = rng.random(n) < p_switch
-        n_sw = int(sw.sum())
-        x_end = np.empty((n, x.size))
-        y_end = np.full(n, y, dtype=np.int64)
+        sw = np.flatnonzero(rng.random(n) < p_switch)
+        x_end = x + a0 * dt + b0 * math.sqrt(dt) * z1
+        groups = []
+        if sw.size:
+            z2 = rng.standard_normal((sw.size, x.size))
+            tau = rng.random(sw.size) * dt
+            dest = np.minimum(np.searchsorted(cum, rng.random(sw.size), side="right") + 1, spec.n_regimes)
+            for j in range(1, spec.n_regimes + 1):
+                sel = np.flatnonzero(dest == j)
+                if sel.size:
+                    tk, rows = tau[sel][:, None], sw[sel]
+                    x_mid = x + a0 * tk + b0 * np.sqrt(tk) * z1[rows]
+                    rem = dt - tk
+                    x_end[rows] = (x_mid + spec.drift.evaluate(t, j, x_mid) * rem
+                                   + spec.diffusion.evaluate(t, j, x_mid) * np.sqrt(rem) * z2[sel])
+                    groups.append((j, rows))
 
-        a0 = spec.drift.evaluate(t, y, x)
-        b0 = spec.diffusion.evaluate(t, y, x)
-        ns = ~sw
-        x_end[ns] = x + a0 * dt + b0 * math.sqrt(dt) * z1[ns]
-
-        if n_sw:
-            z2 = rng.standard_normal((n_sw, x.size))
-            tau = rng.random(n_sw) * dt
-            dest = np.searchsorted(cum, rng.random(n_sw), side="right") + 1
-            dest = np.minimum(dest, spec.n_regimes)
-            x_mid = x + a0 * tau[:, None] + b0 * np.sqrt(tau)[:, None] * z1[sw]
-            rem = dt - tau
-            for j in np.unique(dest):
-                rows = dest == j
-                a1 = _coeff_rows(spec.drift, t, int(j), x_mid[rows])
-                b1 = _coeff_rows(spec.diffusion, t, int(j), x_mid[rows])
-                idx = np.where(sw)[0][rows]
-                x_end[idx] = (
-                    x_mid[rows]
-                    + a1 * rem[rows][:, None]
-                    + b1 * np.sqrt(rem[rows])[:, None] * z2[rows]
-                )
-            y_end[sw] = dest
-
-        groups = [(int(j), y_end == j) for j in np.unique(y_end)]
         for i, u in enumerate(us):
             vals = np.empty(n)
+            vals[:] = u.value(t + dt, y, h, x_end)
             for j, rows in groups:
-                vals[rows] = np.asarray(u.value(t + dt, j, h, x_end[rows]), dtype=float)
+                vals[rows] = u.value(t + dt, j, h, x_end[rows])
             totals[i] += float(vals.sum())
             totals_sq[i] += float((vals * vals).sum())
         done += n
@@ -389,12 +397,6 @@ def wio_finite_difference_battery(
         var = max(totals_sq[i] / mc - mean * mean, 0.0)
         out.append(((mean - u0s[i]) / dt, math.sqrt(var / mc) / dt))
     return out
-
-
-def _coeff_rows(family, t, y, X):
-    if family.kind == "linear-per-regime":
-        return family.rate(y) * X
-    return np.full_like(X, family.rate(y))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,26 @@ def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
     assert "'config'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("record_stride", 2.5),
+    ("paths", 1.5),
+    ("dt_max", "x"),
+    ("horizon", None),
+])
+def test_rerun_of_a_hand_edited_manifest_names_the_mistyped_field(tmp_path, capsys, field, value):
+    out1 = tmp_path / "first"
+    assert main(["simulate", "--preset", "case2", "--horizon", "0.5", "--out", str(out1)]) == EXIT_OK
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["resolved"][field] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    out2 = tmp_path / "second"
+    assert main(["rerun", str(edited), "--out", str(out2)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(field) in err
+    assert not out2.exists()
+
+
 def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
     out1 = tmp_path / "first"
     assert main(["simulate", "--preset", "case2", "--horizon", "0.5", "--out", str(out1)]) == EXIT_OK

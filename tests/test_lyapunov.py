@@ -173,17 +173,69 @@ def test_fd_oracle_pure_drift_linear_u():
     assert est == pytest.approx(-0.7 * 2.0, rel=1e-4)
 
 
-@pytest.mark.parametrize("u,name", [(X2, "x^2"), (U_X4, "x^4"), (U_YX2, "y x^2")])
-def test_fd_oracle_agrees_with_closed_form(u, name, rng):
-    spec = spec_from_dict(build_preset("case2"))
+# three regimes, additive (constant) coefficients, dim 2; exit rates up to 50,
+# so rate * dt <= 0.01 at dt = 2e-4 and the one-switch step is accurate
+THREE_REGIMES = {
+    "drift": {"kind": "constant", "values": [0.4, -1.2, 2.0], "dim": 2},
+    "diffusion": {"kind": "constant", "values": [0.5, 1.5, 0.8], "dim": 2},
+    "jump": {"kind": "zero"},
+    "schedule": {"kind": "explicit-list", "times": []},
+    "xi_generator": {"q": [[-30.0, 10.0, 20.0], [5.0, -8.0, 3.0], [40.0, 10.0, -50.0]]},
+    "eta_transition": {"p": [[1.0]]},
+    "initial": {"x0": [1.0, -0.5], "y0": 1, "h0": 1},
+    "horizon": 1.0,
+}
+POWER_07 = LyapunovSpec(kind="power", gamma=1.0, beta=0.7, regime_values=(1, 2, 3))
+# one scalar per call, whatever the batch: the oracle must broadcast it
+ONE_PLUS_Y = custom_u(
+    value=lambda t, y, h, x: 1 + y,
+    grad=lambda t, y, h, x: np.zeros(np.atleast_1d(x).size),
+    hess=lambda t, y, h, x: np.zeros((np.atleast_1d(x).size,) * 2),
+)
+
+
+@pytest.mark.parametrize("config,u,name", [
+    pytest.param("case2", X2, "x^2", id="u0-x^2"),
+    pytest.param("case2", U_X4, "x^4", id="u1-x^4"),
+    pytest.param("case2", U_YX2, "y x^2", id="u2-y x^2"),
+    pytest.param(THREE_REGIMES, POWER_07, "power 0.7", id="three-regimes-power"),
+    pytest.param(THREE_REGIMES, X2, "x^2", id="three-regimes-x^2"),
+    pytest.param(THREE_REGIMES, ONE_PLUS_Y, "1 + y", id="three-regimes-1+y"),
+])
+def test_fd_oracle_agrees_with_closed_form(config, u, name, rng):
+    spec = spec_from_dict(build_preset(config) if isinstance(config, str) else config)
     for trial in range(3):
-        y = int(rng.integers(1, 3))
-        x = np.array([float(rng.uniform(1.0, 2.5))])
+        y = int(rng.integers(1, spec.n_regimes + 1))
+        x = rng.uniform(1.0, 2.5, size=spec.x0.size)
         exact = wio_evaluate(spec, u, 0.3, y, 1, x)
         est, se = wio_finite_difference(spec, u, 0.3, y, 1, x, mc=2_000_000, dt=2e-4,
                                         policy=RngPolicy(100 + trial))
         tol = max(3.0 * se, 0.05 * abs(exact))
         assert abs(est - exact) <= tol, (name, y, x, exact, est, se)
+
+
+@pytest.mark.parametrize("y", [1, 2, 3])
+def test_wio_of_the_regime_index_is_the_mean_regime_step(y):
+    spec = spec_from_dict(THREE_REGIMES)
+    q = spec.xi_chain.q[y - 1]
+    expect = sum(q[j - 1] * (j - y) for j in (1, 2, 3))
+    assert wio_evaluate(spec, ONE_PLUS_Y, 0.3, y, 1, np.array([1.0, 2.0])) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("t,mc,dt,message", [
+    (0.3, -5, 1e-4, "mc"),
+    (0.3, 0, 1e-4, "mc"),
+    (0.3, 100, 0.0, "dt"),
+    (0.3, 100, -1e-4, "dt"),
+    (0.3, 100, math.nan, "dt"),
+    (0.3, 100, math.inf, "dt"),
+    (1.0, 100, 2e-4, "jump"),      # case2's jump k = 1 is at t = 1
+    (0.9999, 100, 2e-4, "jump"),   # ... and inside this step
+])
+def test_fd_oracle_refuses_what_it_cannot_estimate(t, mc, dt, message):
+    spec = spec_from_dict(build_preset("case2"))
+    with pytest.raises(ValueError, match=message):
+        wio_finite_difference(spec, X2, t, 1, 1, np.array([1.5]), mc=mc, dt=dt, policy=RngPolicy(0))
 
 
 # ---------------------------------------------------------------------------
