@@ -21,6 +21,7 @@ drift-coefficient reading, requiring both to pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,11 +180,11 @@ def discrete_lyapunov_operator(
 
     Continuation ``j`` draws from ``policy.aux_streams(_AUX_DISCRETE_OP, k,
     j)``; the continuations run as :func:`simulate_batch` calls of at most
-    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.
+    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.  An
+    ``mc`` that is not an integer of at least 1 raises ``ValueError``.
     """
     cfg = cfg or IntegratorConfig()
-    if mc < 1:
-        raise ValueError(f"mc must be >= 1, got {mc}")
+    mc = _sample_count(mc)
     y, h, x = state
     t_lo, t_hi = _segment_times(spec, k)
     v0 = float(v.value(t_lo, y, h, np.atleast_1d(np.asarray(x, dtype=float))))
@@ -218,6 +219,26 @@ def _values(v: LyapunovSpec, t: float, ys: list, hs: list, xs: np.ndarray) -> li
     return [float(v.value(t, y, h, x)) for y, h, x in zip(ys, hs, xs)]
 
 
+def _sample_count(mc) -> int:
+    """``mc`` as an ``int``, refused unless it is an integer of at least 1
+    (a float such as ``1e4`` is refused too)."""
+    try:
+        mc = operator.index(mc)
+    except TypeError:
+        raise ValueError(f"mc must be an integer, got {mc!r}") from None
+    if mc < 1:
+        raise ValueError(f"mc must be >= 1, got {mc}")
+    return mc
+
+
+def _state(spec: SystemSpec, x) -> np.ndarray:
+    """``x`` as a float array, refused unless it has ``spec.dim`` entries."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size != spec.dim:
+        raise ValueError(f"x has {x.size} entries but the system has dimension {spec.dim}")
+    return x
+
+
 def _segment_times(spec: SystemSpec, k: int) -> tuple:
     entries = dict(spec.realization().entries)
     if k not in entries or (k + 1) not in entries:
@@ -248,9 +269,10 @@ def wio_evaluate(
     generator rates against post-switch values (identity kernel unless a
     per-pair affine ``switch_kernel[(i, j)] = (scale, offset)`` mapping is
     given); and, only when ``t`` is a scheduled jump time, the mark-averaged
-    post-impulse value minus the current value.
+    post-impulse value minus the current value.  An ``x`` without
+    ``spec.dim`` entries raises ``ValueError``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _state(spec, x)
     total = u.d_t(t, y, h, x)
 
     a = spec.drift.evaluate(t, y, x)
@@ -330,7 +352,8 @@ def wio_finite_difference_battery(
     """Difference quotients for several test functions on shared samples.
 
     Returns one ``(estimate, stderr)`` pair per entry of ``us``.  Refuses
-    ``mc < 1``, ``dt`` outside ``(0, inf)`` and a scheduled jump in
+    an ``mc`` that is not an integer of at least 1, an ``x`` without
+    ``spec.dim`` entries, ``dt`` outside ``(0, inf)`` and a scheduled jump in
     ``[t, t + dt]``, where the quotient would miss the impulse term.
 
     Samples run in chunks of at most 2M.  Each chunk draws the step normals
@@ -342,14 +365,13 @@ def wio_finite_difference_battery(
     values overwritten at their destination regime.  So a custom ``fn_value``
     is also called at ``y`` on samples that then switch.
     """
-    if mc < 1:
-        raise ValueError(f"mc must be >= 1, got {mc}")
+    mc = _sample_count(mc)
+    x = _state(spec, x)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if any(t <= tau <= t + dt for _, tau in spec.realization().entries):
         raise ValueError(f"a scheduled jump lies in [t, t + dt] = [{t}, {t + dt}]")
     policy = policy or RngPolicy()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     rng = policy.aux_generator(_AUX_WIO, key)
     rate = spec.xi_chain.exit_rate(y)
     p_switch = 1.0 - math.exp(-rate * dt) if rate > 0 else 0.0

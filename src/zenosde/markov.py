@@ -133,13 +133,20 @@ class TransitionMatrix:
             return self.per_step[k - 1]
         return self.p
 
-    def _cdf_tables(self, k: int) -> list:
-        """Inverse-CDF tables of the step-``k`` matrix's rows, cached."""
+    def _cdf_tables(self, k: int) -> tuple:
+        """Inverse-CDF tables of the step-``k`` matrix, cached: one
+        :func:`_cdf_table` per row, then the same tables as arrays, namely
+        the rows' cumulative sums, their probabilities with a zero column
+        appended, and each row's last nonzero index."""
         key = k if self.per_step and 1 <= k <= len(self.per_step) else 0
         cache = self.__dict__.setdefault("_cdf_cache", {})
         tables = cache.get(key)
         if tables is None:
-            tables = cache[key] = [_cdf_table(row) for row in self.matrix_at(k)]
+            rows = [_cdf_table(row) for row in self.matrix_at(k)]
+            probs = np.zeros((self.n_states, self.n_states + 1))
+            probs[:, :-1] = [row[1] for row in rows]
+            tables = cache[key] = (rows, np.array([row[0] for row in rows]), probs,
+                                   np.array([row[2] for row in rows], dtype=np.int64))
         return tables
 
 
@@ -229,11 +236,26 @@ def sample_ctmc(gen: GeneratorMatrix, y0: int, horizon: float, rng: np.random.Ge
     )
 
 
-def sample_dtmc_step(tm: TransitionMatrix, h: int, k: int, rng: np.random.Generator) -> int:
-    """Draw the next mark from row ``h`` of the step-``k`` matrix."""
+def sample_dtmc_step(tm: TransitionMatrix, h, k: int, rng):
+    """Draw the next mark from row ``h`` of the step-``k`` matrix.
+
+    ``h`` may also be an int array of marks, with ``rng`` an array of as many
+    uniforms in ``[0, 1)``.  Each mark then steps on its own uniform exactly
+    as the scalar form steps on ``rng.random()``: ``bisect_right`` on the same
+    cumulative sums, with :func:`_draw_categorical`'s zero-probability guard.
+    The next marks come back as an int64 array.
+    """
+    if isinstance(h, np.ndarray):
+        if h.size and not (h.min() >= 1 and h.max() <= tm.n_states):
+            raise IndexOutOfRange(f"marks outside 1..{tm.n_states}")
+        _, cum, probs, last_nonzero = tm._cdf_tables(k)
+        rows = h - 1
+        # the count of cumulative sums <= u is bisect_right on a sorted row
+        idx = (cum.take(rows, axis=0) <= rng[:, None]).sum(axis=1)
+        return np.where(probs[rows, idx] == 0.0, last_nonzero[rows], idx) + 1
     if not 1 <= h <= tm.n_states:
         raise IndexOutOfRange(f"mark {h} outside 1..{tm.n_states}")
-    return _draw_categorical(tm._cdf_tables(k)[h - 1], rng.random())
+    return _draw_categorical(tm._cdf_tables(k)[0][h - 1], rng.random())
 
 
 def _cdf_table(probs: np.ndarray) -> tuple:

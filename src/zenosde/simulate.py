@@ -14,7 +14,8 @@ the (vanishingly rare) case of a degenerate cumulative product.
 :func:`simulate_batch` is the one integration primitive: it runs many paths
 over one window per call, and :func:`simulate_window` is its one-path case.
 It runs the paths in blocks that share one Python loop over the impulses,
-and each block through one loop over chunks: the whole block, or each path
+where each jump steps every mark and applies every impulse as arrays, and
+each block through one loop over chunks: the whole block, or each path
 alone in chunks of steps.  The work arrays of a chunk, switch times counted,
 stay within one byte budget, ``_WORK_BYTES``, whatever the path count.
 """
@@ -89,9 +90,9 @@ class RngPolicy:
     The batch primitive :func:`simulate_batch` gives every path its own
     bundle and keeps a lone path's draw order on it in each window: the
     regime chain first, then one standard normal per step and coordinate,
-    then one mark uniform per impulse the path reaches.  A path's bits
-    therefore do not depend on which batch it runs in, nor on its position
-    there.
+    then, in one call, one mark uniform per jump of the window.  A path's
+    bits therefore do not depend on which batch it runs in, nor on its
+    position there.
     """
 
     master_seed: int = 0
@@ -448,11 +449,11 @@ def simulate_batch(
     Path ``p`` starts from ``(x[p], y[p], h[p])`` (``x``, ``y`` and ``h``
     broadcast to ``(P, dim)``, ``(P,)``, ``(P,)``) and draws only from its
     own bundle ``streams[p]``, in the order of a lone path: its regime chain,
-    then one normal per step and coordinate, then one mark per jump it
-    reaches.  Every arithmetic step is the lone path's elementwise operation,
-    so a path's result is bit for bit the same in any batch, at any position.
-    Bundles must not be shared between paths.  ``record_times`` must lie in
-    ``[t0, t1]``.
+    then one normal per step and coordinate, then, in one call, one mark
+    uniform per jump of the window.  Every arithmetic step is the lone
+    path's elementwise operation, so a path's result is bit for bit the same
+    in any batch, at any position.  Bundles must not be shared between
+    paths.  ``record_times`` must lie in ``[t0, t1]``.
 
     Each path's step grid (the shared base grid plus its own switch and
     record times) is padded to a common length with zero-length steps, whose
@@ -711,18 +712,20 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     # impulses in time order, on every path: a path's draws come from its own
     # streams, so impulses past its stop change nothing it returns, and where
     # each path stops is decided once, after the loop; x_start holds the
-    # start, then each post-jump state
+    # start, then each post-jump state.  Each path draws its window's mark
+    # uniforms in one call, after its normals, as a lone path does.
     x_start = np.zeros((n_paths, n_jumps + 1, dim))
     x_start[:, 0] = x
     x_pre = np.zeros((n_paths, n_jumps, dim))
     x_post = x_start[:, 1:]
     h_hist = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
     h_hist[:, 0] = h
-    x_cur = x
-    h_now = h.tolist()
+    x_cur, h_now = x, h
+    u_mark = np.empty((n_paths, n_jumps))
+    for st, row in zip(streams, u_mark):
+        st.mark.random(out=row)
     ratio = p_start[:, 1:] / p_start[:, :-1]
     shift = p_start[:, 1:] * (c_start[:, 1:] - c_start[:, :-1]) if additive else None
-    y_pre = y_pre.T.tolist()
     for s, k in enumerate(jump_ks.tolist()):
         xp = ratio[:, s] * x_cur
         if shift is not None:
@@ -730,9 +733,8 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         for p, (walk, m_row, u_row) in walked.items():
             xp[p] = _walk(walk, m_row, u_row, starts[p, s], jidx[p, s], x_cur[p])
         x_pre[:, s] = xp
-        h_now = [sample_dtmc_step(spec.eta_chain, hv, k, st.mark) for hv, st in zip(h_now, streams)]
-        h_hist[:, s + 1] = h_now
-        x_cur = x_post[:, s] = xp + _impulse(spec.jump, k, y_pre[s], h_now, xp)
+        h_now = h_hist[:, s + 1] = sample_dtmc_step(spec.eta_chain, h_now, k, u_mark[:, s])
+        x_cur = x_post[:, s] = xp + spec.jump.evaluate(k, y_pre[:, s], h_now, xp)
         # every path has stopped once each coordinate is past the threshold,
         # since a norm is never below its largest coordinate
         if np.abs(x_cur).min() > thr:
@@ -897,20 +899,6 @@ def _norms(v, pointwise=False):
         flat = v.reshape(-1, v.shape[-1])
         return np.array([np.linalg.norm(r) for r in flat]).reshape(v.shape[:-1])
     return np.linalg.norm(v, axis=-1)
-
-
-def _impulse(jump, k, y_pre, marks, x_pre):
-    """``jump.evaluate`` for every row, one call per distinct (regime, mark)."""
-    keys = list(zip(y_pre, marks))
-    if keys.count(keys[0]) == len(keys):
-        return jump.evaluate(k, y_pre[0], marks[0], x_pre)
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    g = np.empty_like(x_pre)
-    for (yv, hv), idx in groups.items():
-        g[idx] = jump.evaluate(k, yv, hv, x_pre[idx])
-    return g
 
 
 def _collect_path(bounds, X, regimes, jump_idx, jump_ks, switch_abs, stop_idx, stride, extra=()):

@@ -207,15 +207,24 @@ class JumpFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, k: int, y: int, h: int, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, k: int, y, h, x: np.ndarray) -> np.ndarray:
+        """``g(t_k, y, h, x)``.
+
+        ``y`` and ``h`` may also be int arrays with one entry per row of
+        ``x`` (its leading axis).  Each row then gets its own mark's value,
+        bit for bit that of a scalar call on that row alone.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "scale-poly":
             return self.scale * float(k) ** 2 * x
         if self.kind == "exp-mark-clamped":
-            hv = self.mark_values[h - 1]
-            return self.scale * _safe_exp(self.sign * self.alpha * k * hv) * np.minimum(x, 1.0)
+            # each mark value's coefficient comes from the scalar exp, which
+            # can round differently from an array exp
+            coef = np.array([self.scale * _safe_exp(self.sign * self.alpha * k * hv)
+                             for hv in self.mark_values])[np.asarray(h) - 1]
+            return coef.reshape(coef.shape + (1,) * (x.ndim - coef.ndim)) * np.minimum(x, 1.0)
         s, o = self._map_at(k)
         return s * x + o
 

@@ -301,6 +301,39 @@ def test_discrete_operator_refuses_fewer_than_one_sample(mc):
         discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 1, mc, RngPolicy(0))
 
 
+@pytest.mark.parametrize("mc", [1e4, 100.0, 2.5])
+def test_estimators_refuse_a_sample_count_that_is_not_an_integer(mc):
+    spec = spec_from_dict(build_preset("case2"))
+    with pytest.raises(ValueError, match="mc must be an integer"):
+        wio_finite_difference(spec, X2, 0.3, 1, 1, np.array([1.5]), mc=mc, policy=RngPolicy(0))
+    with pytest.raises(ValueError, match="mc must be an integer"):
+        discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 1, mc, RngPolicy(0))
+
+
+def test_estimators_take_numpy_integer_sample_counts():
+    spec = spec_from_dict(build_preset("case2"))
+    fd = [wio_finite_difference(spec, X2, 0.3, 1, 1, np.array([1.5]), mc=mc, policy=RngPolicy(0))
+          for mc in (50, np.int64(50))]
+    op = [discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 1, mc, RngPolicy(0))
+          for mc in (5, np.int32(5))]
+    assert fd[0] == fd[1] and op[0] == op[1]
+
+
+@pytest.mark.parametrize("config,x", [
+    ("case2", [1.5, 2.0]),
+    ("case2", []),
+    (THREE_REGIMES, [1.0]),
+    (THREE_REGIMES, [1.0, 2.0, 3.0]),
+], ids=["dim1-x2", "dim1-x0", "dim2-x1", "dim2-x3"])
+def test_weak_operator_and_its_oracle_refuse_an_x_of_another_dimension(config, x):
+    spec = spec_from_dict(build_preset(config) if isinstance(config, str) else config)
+    message = f"x has {len(x)} entries but the system has dimension {spec.dim}"
+    with pytest.raises(ValueError, match=message):
+        wio_evaluate(spec, X2, 0.3, 1, 1, np.array(x))
+    with pytest.raises(ValueError, match=message):
+        wio_finite_difference(spec, X2, 0.3, 1, 1, np.array(x), mc=100, policy=RngPolicy(0))
+
+
 def _dim2_spec():
     cfg = build_preset("case2")
     cfg["drift"] = {"kind": "linear-per-regime", "values": [-0.5, 0.3], "dim": 2}

@@ -196,6 +196,54 @@ def test_dtmc_per_step_matrices(rng):
     assert draws == {1, 2}
 
 
+class _Uniforms:
+    """Stands in for a generator: ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_dtmc_step_of_an_array_of_marks_matches_scalar_draws():
+    # three marks, zero entries first, inside and last, and rows whose
+    # cumulative sums end below 1; steps 1 and 2 have their own matrices
+    tm = validate_transition_matrix(
+        [[0.2, 0.0, 0.8], [0.1, 0.9 - 1e-13, 0.0], [1 / 3, 1 / 3, 1 / 3]],
+        per_step=[[[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.1, 0.2, 0.7 - 1e-13]],
+                  [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]]],
+    )
+    assert np.cumsum(tm.p[1])[-1] < 1.0 and np.cumsum(tm.per_step[0][2])[-1] < 1.0
+    h = np.tile(np.array([1, 2, 3], dtype=np.int64), 500)
+    for k in (1, 2, 3, 9):
+        # random uniforms, draw for draw on two copies of one generator
+        gen, ref = np.random.default_rng(k), np.random.default_rng(k)
+        got = sample_dtmc_step(tm, h, k, gen.random(h.size))
+        want = [sample_dtmc_step(tm, int(hv), k, ref) for hv in h]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert gen.random() == ref.random()
+        # each row's cumulative sums, the floats just below them, 0 and the
+        # largest uniform
+        rows, us = [], []
+        for r, cum in enumerate(np.cumsum(tm.matrix_at(k), axis=1)):
+            edges = np.concatenate((cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0 ** -53]))
+            rows += [r + 1] * edges.size
+            us += edges.tolist()
+        got = sample_dtmc_step(tm, np.array(rows), k, np.array(us))
+        draws = _Uniforms(us)
+        assert got.tolist() == [sample_dtmc_step(tm, r, k, draws) for r in rows]
+        # no mark lands on a zero-probability entry
+        assert (tm.matrix_at(k)[np.array(rows) - 1, got - 1] > 0.0).all()
+
+
+@pytest.mark.parametrize("h", [[1, 0], [2, 3], [-1]])
+def test_dtmc_step_refuses_an_array_holding_a_mark_out_of_range(h):
+    tm = validate_transition_matrix([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(IndexOutOfRange):
+        sample_dtmc_step(tm, np.array(h), 1, np.full(len(h), 0.5))
+
+
 def test_dtmc_rejects_bad_rows():
     with pytest.raises(RowNotStochastic):
         validate_transition_matrix([[0.6, 0.5], [0.5, 0.5]])

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from zenosde import simulate
-from zenosde.markov import sample_ctmc
+from zenosde.markov import sample_ctmc, sample_dtmc_step
 from zenosde.simulate import (
     ConfigInvalid,
     IntegratorConfig,
@@ -639,3 +640,29 @@ def test_batch_results_do_not_depend_on_what_the_heap_held():
     for run in runs[1:]:
         for name in ("marks", "x_before", "x_after", "h_end", "n_jumps"):
             assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
+@pytest.mark.parametrize("budget", [None, 40 * 128])
+def test_a_window_draws_its_chain_then_its_normals_then_one_mark_uniform_per_jump(monkeypatch, budget):
+    # an aliased bundle: one generator serves the chain, the normals and the
+    # marks, so the order of the draws shows in the marks and the end state;
+    # the small budget runs the path in chunks, its normals drawn again from a copy
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig(dt_max=1e-2)
+    t0, t1 = 0.5, 1.9
+    if budget is not None:
+        monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
+    bundle = RngPolicy(9).aux_streams_batch(4, [(0,)])[0]
+    ref = copy.deepcopy(bundle.chain)
+    res = simulate_batch(spec, cfg, t0, t1, [0.5], 2, 1, [bundle])
+    assert not res.exploded[0] and res.jump_ks.size == 10
+    chain = sample_ctmc(spec.xi_chain, 2, t1 - t0, ref)
+    assert chain.switch_times.size
+    base = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[0]
+    ref.standard_normal((np.union1d(base, t0 + chain.switch_times).size - 1, spec.dim))
+    h, marks = 1, []
+    for k in res.jump_ks.tolist():
+        h = sample_dtmc_step(spec.eta_chain, h, k, ref)
+        marks.append(h)
+    assert res.marks[0].tolist() == marks
+    assert bundle.chain.bit_generator.state == ref.bit_generator.state

@@ -366,6 +366,42 @@ def test_jump_family_rejects_non_finite_parameters(kwargs):
         JumpFamily(**kwargs)
 
 
+@pytest.mark.parametrize("family", [
+    JumpFamily(kind="zero"),
+    JumpFamily(kind="scale-poly", scale=0.3),
+    JumpFamily(kind="exp-mark-clamped", alpha=1.673, sign=-1, mark_values=(1, 2, 3)),
+    # exponents 300 k h pass 709 from k h = 3 on, where the coefficient is inf
+    JumpFamily(kind="exp-mark-clamped", alpha=300.0, sign=1, scale=-2.0, mark_values=(1, 2, 3)),
+    JumpFamily(kind="custom-sequence", maps=((0.5, 1.0), (-2.0, 0.25))),
+], ids=["zero", "scale-poly", "exp-mark-clamped", "exp-mark-clamped-inf", "custom-sequence"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jump_evaluate_of_rows_matches_one_call_per_row(family, dim):
+    rng = np.random.default_rng(dim)
+    n = 60
+    x = rng.normal(scale=3.0, size=(n, dim))
+    x[:7] = [[v] * dim for v in (0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 1e300, -np.inf, np.inf)]
+    y = rng.integers(1, 3, size=n)
+    h = rng.integers(1, len(family.mark_values) + 1, size=n)
+    assert family.kind != "exp-mark-clamped" or set(h.tolist()) == {1, 2, 3}
+    # over many k, some exponents round differently under an array exp
+    for k in range(1, 121):
+        if family.kind == "custom-sequence" and k > len(family.maps):
+            with pytest.raises(UnsupportedFamily):
+                family.evaluate(k, y, h, x)
+            continue
+        with np.errstate(invalid="ignore"):  # inf * 0, in both forms
+            got = family.evaluate(k, y, h, x)
+            want = np.array([family.evaluate(k, int(yv), int(hv), xv) for yv, hv, xv in zip(y, h, x)])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (family.kind, k)
+        if family.kind == "exp-mark-clamped":
+            # the coefficients of Python's scalar exp, saturated past 709
+            e = (family.sign * family.alpha * k * np.array(family.mark_values)[h - 1]).tolist()
+            coef = np.array([family.scale * (math.inf if v > 709.0 else math.exp(v)) for v in e])
+            with np.errstate(invalid="ignore"):
+                assert got.tobytes() == (coef[:, None] * np.minimum(x, 1.0)).tobytes(), k
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("xi_generator", "q", [[math.nan, 1.0], [1.0, -1.0]]),
     ("eta_transition", "p", [[0.5, math.nan], [0.5, 0.5]]),
