@@ -181,13 +181,15 @@ def discrete_lyapunov_operator(
     Continuation ``j`` draws from ``policy.aux_streams(_AUX_DISCRETE_OP, k,
     j)``; the continuations run as :func:`simulate_batch` calls of at most
     ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.  An
-    ``mc`` that is not an integer of at least 1 raises ``ValueError``.
+    ``mc`` that is not an integer of at least 1, and an ``x`` that is not a
+    vector of ``spec.dim`` entries, raise ``ValueError``.
     """
     cfg = cfg or IntegratorConfig()
     mc = _sample_count(mc)
     y, h, x = state
+    x = _state(spec, x)
     t_lo, t_hi = _segment_times(spec, k)
-    v0 = float(v.value(t_lo, y, h, np.atleast_1d(np.asarray(x, dtype=float))))
+    v0 = float(v.value(t_lo, y, h, x))
     vals = np.empty(mc)
     for lo in range(0, mc, _INNER_BUNDLES):
         j = np.arange(lo, min(lo + _INNER_BUNDLES, mc))
@@ -232,10 +234,11 @@ def _sample_count(mc) -> int:
 
 
 def _state(spec: SystemSpec, x) -> np.ndarray:
-    """``x`` as a float array, refused unless it has ``spec.dim`` entries."""
+    """``x`` as a float vector, refused unless it is one of ``spec.dim`` entries."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != spec.dim:
-        raise ValueError(f"x has {x.size} entries but the system has dimension {spec.dim}")
+    if x.ndim > 1 or x.size != spec.dim:
+        what = f"{x.size} entries" if x.ndim == 1 else f"shape {x.shape}"
+        raise ValueError(f"x has {what} but the system has dimension {spec.dim}")
     return x
 
 
@@ -269,8 +272,8 @@ def wio_evaluate(
     generator rates against post-switch values (identity kernel unless a
     per-pair affine ``switch_kernel[(i, j)] = (scale, offset)`` mapping is
     given); and, only when ``t`` is a scheduled jump time, the mark-averaged
-    post-impulse value minus the current value.  An ``x`` without
-    ``spec.dim`` entries raises ``ValueError``.
+    post-impulse value minus the current value.  An ``x`` that is not a
+    vector of ``spec.dim`` entries raises ``ValueError``.
     """
     x = _state(spec, x)
     total = u.d_t(t, y, h, x)
@@ -352,8 +355,8 @@ def wio_finite_difference_battery(
     """Difference quotients for several test functions on shared samples.
 
     Returns one ``(estimate, stderr)`` pair per entry of ``us``.  Refuses
-    an ``mc`` that is not an integer of at least 1, an ``x`` without
-    ``spec.dim`` entries, ``dt`` outside ``(0, inf)`` and a scheduled jump in
+    an ``mc`` that is not an integer of at least 1, an ``x`` that is not a
+    vector of ``spec.dim`` entries, ``dt`` outside ``(0, inf)`` and a scheduled jump in
     ``[t, t + dt]``, where the quotient would miss the impulse term.
 
     Samples run in chunks of at most 2M.  Each chunk draws the step normals

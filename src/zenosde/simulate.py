@@ -17,7 +17,10 @@ It runs the paths in blocks that share one Python loop over the impulses,
 where each jump steps every mark and applies every impulse as arrays, and
 each block through one loop over chunks: the whole block, or each path
 alone in chunks of steps.  The work arrays of a chunk, switch times counted,
-stay within one byte budget, ``_WORK_BYTES``, whatever the path count.
+stay within one byte budget, ``_WORK_BYTES``, whatever the path count.  A
+path draws its normals once: the products of its chunks are kept for the
+pass after the impulse loop, unless one path's products alone exceed twice
+that budget.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,6 +43,12 @@ _WORK_BYTES = 2 ** 20
 MAX_BOUNDARIES = 10 ** 7
 # bytes of per-path results an ensemble may allocate
 MAX_RESULT_BYTES = 2 ** 30
+# bytes of step grids cached per schedule realization (see _base_boundaries)
+_CACHE_BYTES = 2 ** 25
+# below this many paths, deriving each path's streams alone is cheaper
+_BATCH_MIN_PATHS = 4
+# jumps per path above which a block of whole windows is not one chunk (see _plan)
+_JUMPS_PER_PATH = 2
 
 # the hash constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFFFFFF
@@ -101,6 +111,24 @@ class RngPolicy:
         seq = np.random.SeedSequence((self.master_seed, path_index))
         return StreamBundle(*[np.random.default_rng(s) for s in seq.spawn(3)])
 
+    def path_streams_batch(self, indices) -> list:
+        """``[self.path_streams(i) for i in indices]``, derived in one pass.
+
+        Each path's three children of ``SeedSequence((master_seed, i))`` are
+        seeded from its entropy words, zero-padded to the pool's four words,
+        then the child's number, as ``SeedSequence.spawn`` seeds them, so
+        every draw is bit for bit that of :meth:`path_streams`.  Indices lie
+        in ``[0, 2**64)``.  The pass has a fixed cost of about 0.15 ms, so
+        fewer than ``_BATCH_MIN_PATHS`` indices take :meth:`path_streams`.
+        """
+        idx = np.array([operator.index(i) for i in indices], dtype=np.uint64)
+        if idx.size < _BATCH_MIN_PATHS:
+            return [self.path_streams(i) for i in idx.tolist()]
+        child = np.tile(np.arange(3, dtype=np.uint32), idx.size)
+        gens = _generators(_keyed_states(_uint32_words(self.master_seed),
+                                         np.repeat(idx, 3)[:, None], child))
+        return [StreamBundle(*gens[i : i + 3]) for i in range(0, len(gens), 3)]
+
     def aux_streams(self, tag: int, *key: int) -> "StreamBundle":
         # auxiliary windows are one-shot; a single shared stream suffices and
         # is much cheaper to derive than three spawned children
@@ -122,27 +150,8 @@ class RngPolicy:
         arr = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=np.uint64)
         if arr.ndim != 2 or arr.dtype.kind not in "iu" or (arr.size and arr.min() < 0):
             raise ValueError("keys must be equal-length keys of non-negative integers")
-        arr = arr.astype(np.uint64)
         prefix = _uint32_words(self.master_seed) + _uint32_words(tag)
-        high = arr >> np.uint64(32)
-        big = high != 0
-        # an element of 2**32 or more is two entropy words, so keys are mixed
-        # in groups that share one layout of their words
-        if big.any():
-            layouts, group = np.unique(big, axis=0, return_inverse=True)
-        else:
-            layouts, group = big[:1], np.zeros(len(arr), dtype=np.int64)
-        states = np.empty((len(arr), 4), dtype=np.uint64)
-        for g, layout in enumerate(layouts.tolist()):
-            rows = np.flatnonzero(group.ravel() == g)
-            cols = [np.full(rows.size, w, dtype=np.uint32) for w in prefix]
-            for c, two in enumerate(layout):
-                cols.append(arr[rows, c].astype(np.uint32))  # the low word
-                if two:
-                    cols.append(high[rows, c].astype(np.uint32))
-            states[rows] = _seed_states(np.column_stack(cols))
-        np.random.bit_generator.ISeedSequence.register(_SeedState)
-        gens = [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
+        gens = _generators(_keyed_states(prefix, arr.astype(np.uint64)))
         return [StreamBundle(g, g, g) for g in gens]
 
     def aux_generator(self, tag: int, *key: int) -> np.random.Generator:
@@ -190,6 +199,42 @@ def _uint32_words(value: int) -> list:
         value >>= 32
         words.append(value & _MASK32)
     return words
+
+
+def _keyed_states(prefix: list, keys: np.ndarray, child=None) -> np.ndarray:
+    """The PCG64 seeds of ``SeedSequence((*prefix, *key))`` for each row
+    ``key`` of ``keys`` (uint64), given ``prefix`` as uint32 words; with
+    ``child``, of that sequence's spawned child ``child[row]`` instead.
+    """
+    high = keys >> np.uint64(32)
+    big = high != 0
+    # an element of 2**32 or more is two entropy words, so keys are mixed
+    # in groups that share one layout of their words
+    if big.any():
+        layouts, group = np.unique(big, axis=0, return_inverse=True)
+    else:
+        layouts, group = big[:1], np.zeros(len(keys), dtype=np.int64)
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    for g, layout in enumerate(layouts.tolist()):
+        rows = np.flatnonzero(group.ravel() == g)
+        cols = [np.full(rows.size, w, dtype=np.uint32) for w in prefix]
+        for c, two in enumerate(layout):
+            cols.append(keys[rows, c].astype(np.uint32))  # the low word
+            if two:
+                cols.append(high[rows, c].astype(np.uint32))
+        if child is not None:
+            # a child's entropy is padded to the pool's four words, then its
+            # spawn key follows
+            cols += [np.zeros(rows.size, dtype=np.uint32)] * (4 - len(cols))
+            cols.append(child[rows])
+        states[rows] = _seed_states(np.column_stack(cols))
+    return states
+
+
+def _generators(states: np.ndarray) -> list:
+    """One PCG64 generator per row of seeds from :func:`_keyed_states`."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    return [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states]
 
 
 def _seed_states(words: np.ndarray) -> np.ndarray:
@@ -290,11 +335,14 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     Returns the boundaries, the window's jump times and indices ``k``, and
     the jumps' positions among the boundaries.  Cached on the realization
     object keyed by the window parameters (the nested probes revisit the
-    same windows millions of times).  A ``dt_max`` that cannot advance time
-    in the window, or that needs more than ``MAX_BOUNDARIES`` boundaries,
-    raises :class:`ConfigInvalid` before any point is built.
+    same windows millions of times), until the cache holds ``_CACHE_BYTES``.
+    A ``dt_max`` that cannot advance time in the window, or that needs more
+    than ``MAX_BOUNDARIES`` boundaries, raises :class:`ConfigInvalid` before
+    any point is built.
     """
-    cache = realization.__dict__.setdefault("_boundary_cache", {})
+    cache = realization.__dict__.get("_boundary_cache")
+    if cache is None:
+        cache = realization.__dict__["_boundary_cache"] = _GridCache()
     key = (t0, t1, dt_max)
     hit = cache.get(key)
     if hit is not None:
@@ -321,9 +369,20 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
     jump_ks = np.asarray([k for k, _ in jumps], dtype=np.int64)
     hit = (base, jump_times, jump_ks, np.searchsorted(base, jump_times))
-    if len(cache) < 4096:
+    size = sum(a.nbytes for a in hit) + _GridCache.ENTRY_BYTES
+    if cache.nbytes + size <= _CACHE_BYTES:
         cache[key] = hit
+        cache.nbytes += size
     return hit
+
+
+class _GridCache(dict):
+    """The step grids of one realization by window, and their bytes."""
+
+    # what an entry holds besides its arrays' data: four array headers, the
+    # tuples and the key, about
+    ENTRY_BYTES = 640
+    nbytes = 0
 
 
 def _coeff_tables(spec: SystemSpec):
@@ -465,11 +524,14 @@ def simulate_batch(
     The paths run in blocks that share one impulse loop, and each block in
     chunks, twice: once for the products at the jumps, and again, after the
     impulse loop, for the states.  A block whose work arrays fit
-    ``_WORK_BYTES`` (see :func:`_plan`), switch times counted, is one chunk
-    and keeps its products; otherwise each path runs alone in chunks of steps
-    and draws its normals again from a copy of its generator.  ``cumprod``
-    and ``cumsum`` are sequential, so continuing them from the previous
-    chunk's last column gives the same bits.
+    ``_WORK_BYTES`` (see :func:`_plan`), switch times counted, is one chunk;
+    otherwise each path runs alone in chunks of steps.  The first pass keeps
+    every chunk's products and sums for the second, as long as they fit
+    twice ``_WORK_BYTES`` with the block's per-jump state; a path past that
+    draws its normals again, from a generator set back to its state before
+    the first draw.  ``cumprod`` and ``cumsum`` are sequential, so
+    continuing them from the previous chunk's last column gives the same
+    bits.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
@@ -486,7 +548,7 @@ def simulate_batch(
         raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
     base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
     n_rec = 0 if rec is None else rec.size
-    block, chunk = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim)
+    block, chunk = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim, _additive(spec))
     with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
         parts = [
             _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
@@ -508,27 +570,51 @@ def simulate_batch(
     return BatchResult(**joined)
 
 
-def _plan(width: int, n_jumps: int, dim: int) -> tuple:
+def _plan(width: int, n_jumps: int, dim: int, additive: bool = False) -> tuple:
     """Paths per block and steps per chunk (``None``: one chunk of all the
     block's paths) for windows of about ``width`` steps and ``n_jumps`` jumps.
 
     The work arrays of one chunk take about ``128 * dim`` bytes per path and
     step.  While two or more whole windows fit in ``_WORK_BYTES`` of them, a
-    block is as many paths as fit, run as one chunk.  A longer window runs
-    one path at a time in chunks of at most ``_WORK_BYTES`` of steps, twice:
-    once for the products at the jumps, and once, after the impulses, for the
-    states.  Its block is then as many paths as ``_WORK_BYTES`` holds of
-    their per-jump state, all sharing one impulse loop.
+    block is as many paths as fit, run as one chunk, unless the window has
+    more than ``_JUMPS_PER_PATH`` jumps per path of such a block: every block
+    pays one impulse-loop iteration per jump, and past about two per path
+    running each path alone under a larger block's loop is cheaper.
+
+    Otherwise each path runs alone, in chunks of at most ``_WORK_BYTES`` of
+    steps, twice: once for the products at the jumps, and once, after the
+    impulses, for the states.  The first pass keeps each chunk's products
+    (``8 * dim`` bytes per step, twice that with the sums of an additive
+    family) for the second, and a block is as many paths as twice
+    ``_WORK_BYTES`` holds of them with their per-jump state, all sharing one
+    impulse loop.  Only a window whose one path's products exceed that
+    draws its normals again for the second pass; its block is then as many
+    paths as ``_WORK_BYTES`` holds of their per-jump state.
 
     ``width`` cannot count switch times, drawn later; a block they widen past
     twice the budget runs its paths in chunks of steps too.
     """
     step_bytes = 128 * dim
     fit = _WORK_BYTES // (max(width, 1) * step_bytes)
-    if fit >= 2:
+    if fit >= 2 and n_jumps <= _JUMPS_PER_PATH * fit:
         return fit, None
-    jump_bytes = 24 * dim + 48
-    return max(1, _WORK_BYTES // ((n_jumps + 1) * jump_bytes)), max(1, _WORK_BYTES // step_bytes)
+    chunk = max(1, _WORK_BYTES // step_bytes)
+    kept = 2 * _WORK_BYTES // _held_bytes(width, n_jumps, dim, additive)
+    if kept >= 1:
+        return kept, chunk
+    return max(1, _WORK_BYTES // ((n_jumps + 1) * (24 * dim + 48))), chunk
+
+
+def _held_bytes(steps, n_jumps: int, dim: int, additive: bool):
+    """Bytes a path of ``steps`` steps holds through the impulse loop when its
+    products are kept: ``steps + 1`` columns of products, and of sums when
+    ``additive``, and its state at each jump."""
+    return (steps + 1) * 8 * dim * (1 + additive) + (n_jumps + 1) * (24 * dim + 48)
+
+
+def _additive(spec: SystemSpec) -> bool:
+    """Whether a step's update has a part that does not scale with ``x``."""
+    return spec.drift.kind == "constant" or spec.diffusion.kind == "constant"
 
 
 def _rows(value, shape, dtype) -> np.ndarray:
@@ -589,10 +675,13 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         chunk = chunk or max(1, _WORK_BYTES // (128 * dim))
         chunks = [(slice(p, p + 1), a, min(a + chunk, int(steps[p])))
                   for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
-    # one chunk keeps its products for the second pass; otherwise a path
-    # draws its normals again, from a copy of its generator made before the
-    # first draw
     one_chunk = len(chunks) == 1
+    # the first pass keeps each chunk's products and sums for the second,
+    # for as many paths as twice the budget holds of them with their state
+    # at each jump; a path past that draws its normals again, from a
+    # generator in its state before the first draw
+    additive = _additive(spec)
+    keep = one_chunk | (np.cumsum(_held_bytes(steps, n_jumps, dim, additive)) <= 2 * _WORK_BYTES)
 
     def grid_of(p):
         """Path ``p``'s own step grid."""
@@ -618,7 +707,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return bnd
 
     tab_a_lin, tab_b_lin, tab_a_con, tab_b_con = _coeff_tables(spec)
-    additive = spec.drift.kind == "constant" or spec.diffusion.kind == "constant"
 
     def factors(sel, a, b, gens):
         """Regimes, step factors and additive parts of steps ``a..b-1`` of
@@ -669,7 +757,13 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return prod, cum
 
     gens = [st.wiener for st in streams]
-    replay = None if one_chunk else [copy.copy(g.bit_generator) for g in gens]
+    replay = None if one_chunk else [g.bit_generator.state for g in gens]
+
+    def replayed(p):
+        """A generator in path ``p``'s state before its first normal."""
+        bit_gen = copy.copy(gens[p].bit_generator)
+        bit_gen.state = replay[p]
+        return np.random.Generator(bit_gen)
 
     # first pass: regimes, products and sums at the jumps, and the extremes
     # of each path's products
@@ -697,15 +791,16 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             c_start[sel, 1:][inside] = cum[pp, jc]
         return m_fac, u_add, prod, cum
 
+    kept = []
     for sel, a, b in chunks:
-        kept = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept[2:]))
+        part = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(part[2:]))
+        kept.append(part[2:] if keep[sel].all() else None)
     walked = {}
     for p in needs_walk.nonzero()[0].tolist():
         if one_chunk:
-            m_row, u_row = kept[0][p], None if kept[1] is None else kept[1][p]
+            m_row, u_row = part[0][p], None if part[1] is None else part[1][p]
         else:
-            _, m_fac, u_add = factors(slice(p, p + 1), 0, int(steps[p]),
-                                      {p: np.random.Generator(copy.copy(replay[p]))})
+            _, m_fac, u_add = factors(slice(p, p + 1), 0, int(steps[p]), {p: replayed(p)})
             m_row, u_row = m_fac[0], None if u_add is None else u_add[0]
         walked[p] = (np.zeros((steps[p] + 1, dim)), m_row, u_row)
 
@@ -757,13 +852,13 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     out_cols = steps[:, None] if ridx is None else np.column_stack((ridx, steps))
     x_out = np.empty((n_paths, out_cols.shape[1], dim))
     X_all = np.empty((n_paths, width + 1, dim)) if collect_path else None
-    def second_pass(sel, a, b, carry):
-        if one_chunk:
-            prod, cum = kept[2:]
-        else:
+    def second_pass(sel, a, b, prod_cum, before):
+        if prod_cum is None:
             if a == 0:
-                gens[sel.start] = np.random.Generator(replay[sel.start])
-            prod, cum = products(*factors(sel, a, b, gens)[1:], a, carry)
+                gens[sel.start] = replayed(sel.start)
+            prod_cum = products(*factors(sel, a, b, gens)[1:], a,
+                                (1.0, 0.0) if a == 0 else _last(before))
+        prod, cum = prod_cum
         r = rows[sel]
         st = starts[sel]
         # each segment's columns in this chunk
@@ -792,10 +887,11 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         x_out[sel][inside] = X[inside.nonzero()[0], oc[inside] - a]
         if X_all is not None:
             X_all[sel, a : b + 1] = X
-        return prod, cum
+        return prod_cum
 
-    for sel, a, b in chunks:
-        kept = second_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(kept))
+    before = None
+    for i, (sel, a, b) in enumerate(chunks):
+        before, kept[i] = second_pass(sel, a, b, kept[i], before), None
     x_end, rec_raw = x_out[:, -1].copy(), x_out[:, :-1]
 
     # a path stops at its first norm over the threshold, in a lone path's
@@ -1005,8 +1101,10 @@ def simulate_ensemble(
     depend on how paths are grouped.  ``threads`` is accepted, and recorded
     in CLI manifests, but no longer changes how paths run: they run on the
     calling thread, one :func:`simulate_batch` block at a time (see
-    :func:`_plan`).  More than ``MAX_RESULT_BYTES`` of per-path results
-    raises :class:`ConfigInvalid` before anything is allocated.
+    :func:`_plan`), each block's streams derived in one
+    :meth:`RngPolicy.path_streams_batch` call.  More than
+    ``MAX_RESULT_BYTES`` of per-path results raises :class:`ConfigInvalid`
+    before anything is allocated.
     """
     if n_paths < 1:
         raise ConfigInvalid("n_paths must be >= 1")
@@ -1028,11 +1126,11 @@ def simulate_ensemble(
     # one block per batch, sized as the integrator sizes them; a block's
     # stream bundles (about 3 kB each) live until its batch ends
     base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
-    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim)[0]
+    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))[0]
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,
-                             [policy.path_streams(i) for i in range(lo, hi)], record_times=rec)
+                             policy.path_streams_batch(range(lo, hi)), record_times=rec)
         for p, (values, alive) in enumerate(zip(res.record_values, res.record_alive)):
             sqv = np.einsum("ij,ij->i", values, values)
             per_path_sq[lo + p, alive] = sqv[alive]

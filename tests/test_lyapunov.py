@@ -334,6 +334,20 @@ def test_weak_operator_and_its_oracle_refuse_an_x_of_another_dimension(config, x
         wio_finite_difference(spec, X2, 0.3, 1, 1, np.array(x), mc=100, policy=RngPolicy(0))
 
 
+@pytest.mark.parametrize("x,what", [([1.5, 2.0], "2 entries"), ([[1.5]], r"shape \(1, 1\)")],
+                         ids=["two-entries", "nested"])
+def test_operator_refuses_a_start_state_that_is_not_a_vector_of_the_dimension(x, what):
+    spec = spec_from_dict(build_preset("case2"))
+    message = f"x has {what} but the system has dimension 1"
+    with pytest.raises(ValueError, match=message):
+        discrete_lyapunov_operator(spec, X2, (1, 1, x), 1, 10, RngPolicy(0))
+    with pytest.raises(ValueError, match=message):
+        wio_evaluate(spec, X2, 0.3, 1, 1, x)
+    # a scalar and a one-entry vector are the same state
+    assert discrete_lyapunov_operator(spec, X2, (1, 1, 1.5), 1, 10, RngPolicy(0)) \
+        == discrete_lyapunov_operator(spec, X2, (1, 1, [1.5]), 1, 10, RngPolicy(0))
+
+
 def _dim2_spec():
     cfg = build_preset("case2")
     cfg["drift"] = {"kind": "linear-per-regime", "values": [-0.5, 0.3], "dim": 2}

@@ -666,3 +666,118 @@ def test_a_window_draws_its_chain_then_its_normals_then_one_mark_uniform_per_jum
         marks.append(h)
     assert res.marks[0].tolist() == marks
     assert bundle.chain.bit_generator.state == ref.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# plan modes: one chunk, kept products, normals drawn again
+# ---------------------------------------------------------------------------
+
+MEANSQ_GRID = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
+
+
+def _window_plan(spec, t0, t1, dt_max, n_rec):
+    base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, dt_max)[:2]
+    return simulate._plan(base.size - 1 + n_rec, jump_times.size, spec.dim,
+                          simulate._additive(spec))
+
+
+def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
+    case2 = spec_from_dict(build_preset("case2"))
+    # a supermartingale segment (k = 5): 34 steps, one jump
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == (240, None)
+    # criterion 03: 1,000 jump-free steps and one record time
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == (8, None)
+    # the mean-square probe over case2's horizon: 5,157 steps, 200 jumps,
+    # 37 paths' products kept, 8,192-step chunks
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == (37, 8192)
+    # the probability probe's window on case1: 100 jumps over 2,053 steps,
+    # one-chunk blocks of 3 paths before the jump count decided the mode
+    case1 = spec_from_dict(build_preset("case1"))
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == (88, 8192)
+    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1)[0] < 88
+    # one path's products past twice the budget: its normals are drawn again
+    assert simulate._plan(300_000, 0, 1) == (simulate._WORK_BYTES // 72, 8192)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["products", "walked"])
+def test_plan_modes_give_the_same_bits(monkeypatch, walk):
+    # the mean-square probe's window as one chunk, as kept per-path chunks,
+    # kept for some paths of a block only, and drawn again, each against
+    # its lone paths
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig()
+    base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, 5.0, cfg.dt_max)[:2]
+    width = base.size - 1 + MEANSQ_GRID.size
+    held = simulate._held_bytes(width, jump_times.size, spec.dim, False)
+    n = 5
+    kw = dict(record_times=MEANSQ_GRID, force_sequential=walk)
+    runs = {}
+    for mode, budget in (("one chunk", 2 ** 30), ("kept", simulate._WORK_BYTES),
+                         ("some kept", held * 6 // 5), ("drawn again", 2 * width)):
+        monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
+        block, chunk = simulate._plan(width, jump_times.size, spec.dim)
+        if mode == "one chunk":
+            assert chunk is None and block >= n
+        elif mode == "kept":
+            assert chunk >= width and block >= n
+        elif mode == "some kept":
+            # twice the budget holds two of the block's five paths
+            monkeypatch.setattr(simulate, "_plan", lambda *args: (n, budget // 128))
+        else:
+            assert 2 * budget < held and chunk < width
+        runs[mode] = _assert_batch_matches_alone(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0,
+                                                 RngPolicy(15).path_streams, n, **kw)
+        monkeypatch.undo()
+    whole = runs.pop("one chunk")
+    for mode, res in runs.items():
+        for name in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
+            assert getattr(res, name).tobytes() == getattr(whole, name).tobytes(), (mode, name)
+        for p in range(n):
+            k = res.n_jumps[p]
+            for name in ("marks", "x_before", "x_after"):
+                assert getattr(res, name)[p, :k].tobytes() == getattr(whole, name)[p, :k].tobytes()
+
+
+@pytest.mark.parametrize("master_seed", [0, 11, 2**32, 2**64 + 7, 2**96 - 3])
+def test_path_streams_batch_matches_path_streams_draw_for_draw(master_seed):
+    policy = RngPolicy(master_seed)
+    # one-word and two-word indices mixed in one call
+    indices = [0, 1, 2**32 - 1, 2**32, 5, 2**40 + 3, 2**64 - 1, 9]
+    for batch in (policy.path_streams_batch(indices),
+                  policy.path_streams_batch(np.array(indices, dtype=np.uint64)),
+                  policy.path_streams_batch(indices[:2])):
+        for bundle, i in zip(batch, indices):
+            ref = policy.path_streams(i)
+            for name in ("chain", "mark", "wiener"):
+                gen, ref_gen = getattr(bundle, name), getattr(ref, name)
+                assert gen.bit_generator.state == ref_gen.bit_generator.state, (i, name)
+                assert gen.standard_normal(5).tolist() == ref_gen.standard_normal(5).tolist()
+                assert gen.random(3).tolist() == ref_gen.random(3).tolist()
+    assert len({id(g) for b in policy.path_streams_batch(range(6))
+                for g in (b.chain, b.mark, b.wiener)}) == 18
+    assert policy.path_streams_batch([]) == []
+
+
+@pytest.mark.parametrize("indices", [[-1, 0, 1, 2], [2**64, 0, 1, 2], [1.0, 2, 3, 4], [0.5]])
+def test_path_streams_batch_refuses_bad_indices(indices):
+    with pytest.raises((TypeError, OverflowError)):
+        RngPolicy(0).path_streams_batch(indices)
+
+
+def test_boundary_cache_is_bounded_by_bytes(monkeypatch):
+    # 40 grids of about 5,000 steps are 1.6 MB, far fewer than 4,096 entries
+    monkeypatch.setattr(simulate, "_CACHE_BYTES", 2 ** 20, raising=False)
+    spec = make_spec(schedule={"kind": "explicit-list", "times": [0.25, 1.75]})
+    realization = spec.realization()
+    realization.__dict__.pop("_boundary_cache", None)
+    grids = [simulate._base_boundaries(realization, 0.0, 5.0 + j * 1e-3, 1e-3) for j in range(40)]
+    cache = realization.__dict__["_boundary_cache"]
+    held = sum(a.nbytes for hit in cache.values() for a in hit)
+    assert 0 < len(cache) < 40
+    assert held <= 2 ** 20
+    # a cached window is the same object again; one past the bound is built anew
+    assert simulate._base_boundaries(realization, 0.0, 5.0, 1e-3) is grids[0]
+    again = simulate._base_boundaries(realization, 0.0, 5.039, 1e-3)
+    assert again is not grids[-1]
+    for a, b in zip(again, grids[-1]):
+        assert a.tobytes() == b.tobytes()
