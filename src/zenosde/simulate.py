@@ -20,7 +20,8 @@ alone in chunks of steps.  The work arrays of a chunk, switch times counted,
 stay within one byte budget, ``_WORK_BYTES``, whatever the path count.  A
 path draws its normals once: the products of its chunks are kept for the
 pass after the impulse loop, unless one path's products alone exceed twice
-that budget.
+that budget, or a long window has so many jumps that blocks of paths whose
+products fit would make the impulse loop dearer than drawing them again.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ _CACHE_BYTES = 2 ** 25
 _BATCH_MIN_PATHS = 4
 # jumps per path above which a block of whole windows is not one chunk (see _plan)
 _JUMPS_PER_PATH = 2
+# path steps drawn again that cost about one impulse-loop iteration (see _plan)
+_STEPS_PER_JUMP = 700
 
 # the hash constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFFFFFF
@@ -570,7 +573,7 @@ def simulate_batch(
     return BatchResult(**joined)
 
 
-def _plan(width: int, n_jumps: int, dim: int, additive: bool = False) -> tuple:
+def _plan(width: int, n_jumps: int, dim: int, additive: bool) -> tuple:
     """Paths per block and steps per chunk (``None``: one chunk of all the
     block's paths) for windows of about ``width`` steps and ``n_jumps`` jumps.
 
@@ -587,9 +590,13 @@ def _plan(width: int, n_jumps: int, dim: int, additive: bool = False) -> tuple:
     (``8 * dim`` bytes per step, twice that with the sums of an additive
     family) for the second, and a block is as many paths as twice
     ``_WORK_BYTES`` holds of them with their per-jump state, all sharing one
-    impulse loop.  Only a window whose one path's products exceed that
-    draws its normals again for the second pass; its block is then as many
-    paths as ``_WORK_BYTES`` holds of their per-jump state.
+    impulse loop.  Such a block is small when the window is long, and every
+    block pays one loop iteration per jump, which costs about as much as
+    drawing ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept
+    block's steps are fewer than that per jump, or one path's products
+    exceed twice the budget, a block is as many paths as ``_WORK_BYTES``
+    holds of their per-jump state (if more): its first paths keep their
+    products, and the rest draw their normals again for the second pass.
 
     ``width`` cannot count switch times, drawn later; a block they widen past
     twice the budget runs its paths in chunks of steps too.
@@ -599,17 +606,22 @@ def _plan(width: int, n_jumps: int, dim: int, additive: bool = False) -> tuple:
     if fit >= 2 and n_jumps <= _JUMPS_PER_PATH * fit:
         return fit, None
     chunk = max(1, _WORK_BYTES // step_bytes)
-    kept = 2 * _WORK_BYTES // _held_bytes(width, n_jumps, dim, additive)
-    if kept >= 1:
+    state = _jump_bytes(n_jumps, dim)
+    kept = 2 * _WORK_BYTES // (_kept_bytes(width, dim, additive) + state)
+    if kept >= 1 and kept * width >= _STEPS_PER_JUMP * n_jumps:
         return kept, chunk
-    return max(1, _WORK_BYTES // ((n_jumps + 1) * (24 * dim + 48))), chunk
+    return max(1, kept, _WORK_BYTES // state), chunk
 
 
-def _held_bytes(steps, n_jumps: int, dim: int, additive: bool):
-    """Bytes a path of ``steps`` steps holds through the impulse loop when its
-    products are kept: ``steps + 1`` columns of products, and of sums when
-    ``additive``, and its state at each jump."""
-    return (steps + 1) * 8 * dim * (1 + additive) + (n_jumps + 1) * (24 * dim + 48)
+def _kept_bytes(steps, dim: int, additive: bool):
+    """Bytes of the products a path of ``steps`` steps keeps through the
+    impulse loop: ``steps + 1`` columns of them, and of sums when ``additive``."""
+    return (steps + 1) * 8 * dim * (1 + additive)
+
+
+def _jump_bytes(n_jumps: int, dim: int) -> int:
+    """Bytes of a path's state at each jump, held through the impulse loop."""
+    return (n_jumps + 1) * (24 * dim + 48)
 
 
 def _additive(spec: SystemSpec) -> bool:
@@ -677,11 +689,12 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
                   for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
     one_chunk = len(chunks) == 1
     # the first pass keeps each chunk's products and sums for the second,
-    # for as many paths as twice the budget holds of them with their state
-    # at each jump; a path past that draws its normals again, from a
+    # for as many paths as twice the budget holds of them with the block's
+    # state at each jump; a path past that draws its normals again, from a
     # generator in its state before the first draw
     additive = _additive(spec)
-    keep = one_chunk | (np.cumsum(_held_bytes(steps, n_jumps, dim, additive)) <= 2 * _WORK_BYTES)
+    held = np.cumsum(_kept_bytes(steps, dim, additive)) + n_paths * _jump_bytes(n_jumps, dim)
+    keep = one_chunk | (held <= 2 * _WORK_BYTES)
 
     def grid_of(p):
         """Path ``p``'s own step grid."""

@@ -550,18 +550,21 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     rec = np.unique(base[[0, span + 3, min(2 * span, base.size - 1), base.size - 1]])
     kw = dict(kw, record_times=rec, collect_path=True)
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 30)
-    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] is None
+    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim,
+                          simulate._additive(spec))[1] is None
     whole = simulate_batch(spec, cfg, 0.0, t1, spec.x0, y, spec.h0,
                            [streams_of(j) for j in range(n)], **kw)
     monkeypatch.setattr(simulate, "_WORK_BYTES", span * 128 * spec.dim)
-    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim)[1] == span
+    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim,
+                          simulate._additive(spec))[1] == span
     # each path alone draws its normals again for the second pass
     chunked = _assert_batch_matches_alone(spec, cfg, 0.0, t1, spec.x0, y, spec.h0, streams_of,
                                           n, **kw)
     # a lone path whose one chunk holds all its steps keeps its products
     width = base.size - 1 + rec.size
     monkeypatch.setattr(simulate, "_WORK_BYTES", 3 * width // 2 * 128 * spec.dim)
-    assert simulate._plan(width, base_jidx.size, spec.dim)[1] == 3 * width // 2
+    assert simulate._plan(width, base_jidx.size, spec.dim,
+                          simulate._additive(spec))[1] == 3 * width // 2
     lone = simulate_batch(spec, cfg, 0.0, t1, spec.x0, np.broadcast_to(y, n)[0], spec.h0,
                           [streams_of(0)], **kw)
     for name_ in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
@@ -603,7 +606,7 @@ def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
     cfg = IntegratorConfig()
     t0, t1 = 1.0, 1.05
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(base.size - 1, jump_times.size, spec.dim) == (163, None)
+    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) == (163, None)
     pol = RngPolicy(12)
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
@@ -695,8 +698,14 @@ def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
     case1 = spec_from_dict(build_preset("case1"))
     assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == (88, 8192)
     assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1)[0] < 88
+    # at dt_max = 1e-4 the 50,108-step window keeps 5 paths' products: their
+    # 250,540 steps redrawn would cost more than 200 more loop iterations
+    assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == (5, 8192)
+    # with 1,000 jumps 4 kept paths are too few: blocks are as many paths as
+    # the budget holds of their per-jump state, and the rest draw again
+    assert simulate._plan(50_000, 1000, 1, False) == (simulate._WORK_BYTES // (1001 * 72), 8192)
     # one path's products past twice the budget: its normals are drawn again
-    assert simulate._plan(300_000, 0, 1) == (simulate._WORK_BYTES // 72, 8192)
+    assert simulate._plan(300_000, 0, 1, False) == (simulate._WORK_BYTES // 72, 8192)
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["products", "walked"])
@@ -708,14 +717,16 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
     cfg = IntegratorConfig()
     base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, 5.0, cfg.dt_max)[:2]
     width = base.size - 1 + MEANSQ_GRID.size
-    held = simulate._held_bytes(width, jump_times.size, spec.dim, False)
+    kept = simulate._kept_bytes(width, spec.dim, False)
+    state = simulate._jump_bytes(jump_times.size, spec.dim)
     n = 5
     kw = dict(record_times=MEANSQ_GRID, force_sequential=walk)
     runs = {}
     for mode, budget in (("one chunk", 2 ** 30), ("kept", simulate._WORK_BYTES),
-                         ("some kept", held * 6 // 5), ("drawn again", 2 * width)):
+                         ("some kept", (5 * kept + 10 * state) // 4),
+                         ("drawn again", 2 * width)):
         monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
-        block, chunk = simulate._plan(width, jump_times.size, spec.dim)
+        block, chunk = simulate._plan(width, jump_times.size, spec.dim, False)
         if mode == "one chunk":
             assert chunk is None and block >= n
         elif mode == "kept":
@@ -724,7 +735,7 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
             # twice the budget holds two of the block's five paths
             monkeypatch.setattr(simulate, "_plan", lambda *args: (n, budget // 128))
         else:
-            assert 2 * budget < held and chunk < width
+            assert 2 * budget < kept and chunk < width
         runs[mode] = _assert_batch_matches_alone(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0,
                                                  RngPolicy(15).path_streams, n, **kw)
         monkeypatch.undo()
