@@ -148,8 +148,8 @@ def probe_stability_in_probability(
     paths run (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
-    if eps1 <= 0:
-        raise ValueError("eps1 must be positive")
+    if not 0 < eps1 < math.inf:
+        raise ValueError(f"eps1 must be positive and finite, got {eps1!r}")
     deltas = sorted((float(d) for d in delta_grid), reverse=True)
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"every delta must be positive and finite, got {deltas}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -201,6 +202,11 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
 
 
 def run_check(resolved: dict, out_dir: Path | None) -> int:
+    # the stability test's own refusal would read as "skipped", and a search
+    # would write a NaN to the manifest
+    epsilon = resolved["epsilon"]
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
     spec = spec_from_dict(resolved["config"])
     existence = check_existence_conditions(spec)
     written = existence.as_dict()

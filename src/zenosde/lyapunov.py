@@ -88,10 +88,11 @@ class LyapunovSpec:
     def __post_init__(self):
         if self.kind not in ("power", "quadratic", "custom-smooth"):
             raise ValueError(f"unknown Lyapunov kind {self.kind!r}")
-        if self.kind == "power" and (self.gamma <= 0 or self.beta <= 0):
-            raise ValueError("power kind needs gamma > 0 and beta > 0")
-        if self.kind == "quadratic" and self.coeff <= 0:
-            raise ValueError("quadratic kind needs a positive coefficient")
+        # NaN fails every comparison, so a range test refuses it too
+        for name in ("gamma", "beta", "coeff"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"Lyapunov {name} must be positive and finite, got {value!r}")
         if self.kind == "custom-smooth" and self.fn_value is None:
             raise MissingDerivatives("custom-smooth needs fn_value")
 
@@ -521,6 +522,8 @@ def linear_stability_check(
     if eps_search or epsilon is None:
         ok_eps = [e for e in _EPS_SEARCH_GRID if (margins < -e).all()]
         epsilon = float(max(ok_eps)) if ok_eps else float(_EPS_SEARCH_GRID[-1])
+    elif not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     b_max = float(b_vals.max())
     beta = epsilon / b_max ** 2
 

@@ -15,11 +15,12 @@ the (vanishingly rare) case of a degenerate cumulative product.
 over one window per call, and :func:`simulate_window` is its one-path case.
 It runs the paths in blocks that share one Python loop over the impulses,
 where each jump steps every mark and applies every impulse as arrays, and
-each block through one loop over chunks: the whole block, or each path
-alone in chunks of steps.  The work arrays of a chunk, switch times counted,
-stay within one byte budget, ``_WORK_BYTES``, whatever the path count.  A
-path draws its normals once: the products of its chunks are kept for the
-pass after the impulse loop, unless one path's products alone exceed twice
+each block through one loop over chunks of one form: a range of whole paths
+by a range of steps.  A chunk holds as many whole paths as one byte budget,
+``_WORK_BYTES``, holds of work arrays, switch times counted; a path that
+alone exceeds it runs by itself in chunks of steps.  A path draws its
+normals once: the products of its chunks are kept for the pass after the
+impulse loop, unless they would take the block's kept products past twice
 that budget, or a long window has so many jumps that blocks of paths whose
 products fit would make the impulse loop dearer than drawing them again.
 """
@@ -48,8 +49,6 @@ MAX_RESULT_BYTES = 2 ** 30
 _CACHE_BYTES = 2 ** 25
 # below this many paths, deriving each path's streams alone is cheaper
 _BATCH_MIN_PATHS = 4
-# jumps per path above which a block of whole windows is not one chunk (see _plan)
-_JUMPS_PER_PATH = 2
 # path steps drawn again that cost about one impulse-loop iteration (see _plan)
 _STEPS_PER_JUMP = 700
 
@@ -319,17 +318,34 @@ class Trajectory:
 # step boundary construction
 # ---------------------------------------------------------------------------
 
-def _segment_interior(s: float, e: float, dt_max: float) -> list:
+def _segment_interior(s: float, e: float, dt_max: float) -> np.ndarray:
     """Interior step boundaries strictly between ``s`` and ``e``: steps of
-    ``dt_max`` from ``s``, the last one ending at ``e``."""
-    pts = []
-    t = s
-    while e - t > dt_max * (1.0 + 1e-9):
-        t = t + dt_max
-        if t >= e:
-            break
-        pts.append(t)
-    return pts
+    ``dt_max`` from ``s``, the last one ending at ``e``.
+
+    These are the points of the loop ``t = t + dt_max`` from ``s``, run
+    while ``e - t > dt_max * (1 + 1e-9)``, that stay below ``e``.
+    ``np.add.accumulate`` adds in that order, so it gives the loop's bits.
+    The points do not decrease, so each test fails from one point on: the
+    second from the first point at or past ``e``, the first from a point
+    found by testing it exactly near ``e`` only.
+    """
+    tol = dt_max * (1.0 + 1e-9)
+    # the loop's first test, up front: near a concentration point most
+    # segments are shorter than one step
+    if not e - s > tol:
+        return np.empty(0)
+    t = np.full(int((e - s) / dt_max) + 3, dt_max)
+    t[0] = s
+    np.add.accumulate(t, out=t)
+    end = t.searchsorted(e)
+    # before ``lo`` every point is more than two steps short of ``e``
+    lo = max(t.searchsorted(e - 2.0 * tol) - 1, 0)
+    for j, v in enumerate(t[lo : end + 1].tolist(), lo):
+        if not e - v > tol:
+            return t[1 : min(j, end - 1) + 1]
+    # steps that round short of dt_max, near the float spacing of e, leave
+    # the points short of it: the loop goes on from the last
+    return np.concatenate((t[1:], _segment_interior(t[-1], e, dt_max)))
 
 
 def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
@@ -359,16 +375,14 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     if (t1 - t0) / dt_max + len(jumps) > MAX_BOUNDARIES:
         raise ConfigInvalid(f"dt_max {dt_max!r} needs more than {MAX_BOUNDARIES} step "
                             f"boundaries on the window [{t0!r}, {t1!r}]")
-    pts = [t0]
+    pts = [[t0]]
     cur = t0
     for _, tau in jumps:
-        pts.extend(_segment_interior(cur, tau, dt_max))
-        pts.append(tau)
+        pts += [_segment_interior(cur, tau, dt_max), [tau]]
         cur = tau
     if cur < t1:
-        pts.extend(_segment_interior(cur, t1, dt_max))
-        pts.append(t1)
-    base = np.asarray(pts, dtype=float)
+        pts += [_segment_interior(cur, t1, dt_max), [t1]]
+    base = np.concatenate(pts)
     jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
     jump_ks = np.asarray([k for k, _ in jumps], dtype=np.int64)
     hit = (base, jump_times, jump_ks, np.searchsorted(base, jump_times))
@@ -524,17 +538,19 @@ def simulate_batch(
     leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` (or every path, with
     ``force_sequential``) is walked step by step instead.
 
-    The paths run in blocks that share one impulse loop, and each block in
-    chunks, twice: once for the products at the jumps, and again, after the
-    impulse loop, for the states.  A block whose work arrays fit
-    ``_WORK_BYTES`` (see :func:`_plan`), switch times counted, is one chunk;
-    otherwise each path runs alone in chunks of steps.  The first pass keeps
-    every chunk's products and sums for the second, as long as they fit
-    twice ``_WORK_BYTES`` with the block's per-jump state; a path past that
-    draws its normals again, from a generator set back to its state before
-    the first draw.  ``cumprod`` and ``cumsum`` are sequential, so
-    continuing them from the previous chunk's last column gives the same
-    bits.
+    The paths run in blocks (see :func:`_plan`) that share one impulse loop;
+    a block ends early where its regime chains' switch times pass
+    ``_WORK_BYTES``.  Each block runs in chunks, twice: once for the products
+    at the jumps, and again, after the impulse loop, for the states.  A chunk
+    is a group of as many whole paths as ``_WORK_BYTES`` holds of work arrays
+    at the block's widest path, switch times counted, or, when that path
+    alone is past it, one path over a range of its steps.  The first pass
+    keeps each group's products and sums for the second, as long as the
+    block's kept products fit twice ``_WORK_BYTES`` with its per-jump state;
+    the groups past that draw their normals again, from generators set back
+    to their state before the first draw.  ``cumprod`` and ``cumsum`` are
+    sequential, so continuing them from the previous chunk's last column
+    gives the same bits.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
@@ -551,14 +567,24 @@ def simulate_batch(
         raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
     base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
     n_rec = 0 if rec is None else rec.size
-    block, chunk = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim, _additive(spec))
-    with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
-        parts = [
-            _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
-                       x[lo : lo + block], y[lo : lo + block], h[lo : lo + block],
-                       streams[lo : lo + block], collect_path, force_sequential, chunk)
-            for lo in range(0, n_paths, block)
-        ]
+    block = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim, _additive(spec))
+    parts, lo = [], 0
+    while lo < n_paths:
+        # a block's regime chains come first; it ends early once their switch
+        # times pass the budget: 32 bytes each, with the chain's states and
+        # the copy inserted in the path's grid
+        chains, held = [], 0
+        for p in range(lo, min(lo + block, n_paths)):
+            chains.append(sample_ctmc(spec.xi_chain, int(y[p]), t1 - t0, streams[p].chain))
+            held += 32 * chains[-1].switch_times.size
+            if held > _WORK_BYTES:
+                break
+        hi = lo + len(chains)
+        with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
+            parts.append(_integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
+                                    x[lo:hi], y[lo:hi], h[lo:hi], streams[lo:hi], chains,
+                                    collect_path, force_sequential))
+        lo = hi
     if len(parts) == 1:
         return parts[0]
     joined = {}
@@ -573,44 +599,31 @@ def simulate_batch(
     return BatchResult(**joined)
 
 
-def _plan(width: int, n_jumps: int, dim: int, additive: bool) -> tuple:
-    """Paths per block and steps per chunk (``None``: one chunk of all the
-    block's paths) for windows of about ``width`` steps and ``n_jumps`` jumps.
+def _plan(width: int, n_jumps: int, dim: int, additive: bool) -> int:
+    """Paths per block for windows of about ``width`` steps and ``n_jumps`` jumps.
 
-    The work arrays of one chunk take about ``128 * dim`` bytes per path and
-    step.  While two or more whole windows fit in ``_WORK_BYTES`` of them, a
-    block is as many paths as fit, run as one chunk, unless the window has
-    more than ``_JUMPS_PER_PATH`` jumps per path of such a block: every block
-    pays one impulse-loop iteration per jump, and past about two per path
-    running each path alone under a larger block's loop is cheaper.
+    A block's paths share one impulse loop, and run in chunks of whole
+    paths (see :func:`simulate_batch`) twice: once for the products at the
+    jumps, and once, after the impulses, for the states.  The first pass
+    keeps each chunk's products (``8 * dim`` bytes per step, twice that with
+    the sums of an additive family) for the second, and a block is as many
+    paths as twice ``_WORK_BYTES`` holds of them with their per-jump state.
+    Such a block is small when the window is long, and every block pays one
+    loop iteration per jump, which costs about as much as drawing
+    ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept block's
+    steps are fewer than that per jump, or one path's products exceed twice
+    the budget, a block is as many paths as ``_WORK_BYTES`` holds of their
+    per-jump state (if more): its first groups keep their products, and the
+    rest draw their normals again for the second pass.
 
-    Otherwise each path runs alone, in chunks of at most ``_WORK_BYTES`` of
-    steps, twice: once for the products at the jumps, and once, after the
-    impulses, for the states.  The first pass keeps each chunk's products
-    (``8 * dim`` bytes per step, twice that with the sums of an additive
-    family) for the second, and a block is as many paths as twice
-    ``_WORK_BYTES`` holds of them with their per-jump state, all sharing one
-    impulse loop.  Such a block is small when the window is long, and every
-    block pays one loop iteration per jump, which costs about as much as
-    drawing ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept
-    block's steps are fewer than that per jump, or one path's products
-    exceed twice the budget, a block is as many paths as ``_WORK_BYTES``
-    holds of their per-jump state (if more): its first paths keep their
-    products, and the rest draw their normals again for the second pass.
-
-    ``width`` cannot count switch times, drawn later; a block they widen past
-    twice the budget runs its paths in chunks of steps too.
+    ``width`` cannot count switch times, drawn later; the paths that they
+    push past the budget draw their normals again too.
     """
-    step_bytes = 128 * dim
-    fit = _WORK_BYTES // (max(width, 1) * step_bytes)
-    if fit >= 2 and n_jumps <= _JUMPS_PER_PATH * fit:
-        return fit, None
-    chunk = max(1, _WORK_BYTES // step_bytes)
     state = _jump_bytes(n_jumps, dim)
     kept = 2 * _WORK_BYTES // (_kept_bytes(width, dim, additive) + state)
     if kept >= 1 and kept * width >= _STEPS_PER_JUMP * n_jumps:
-        return kept, chunk
-    return max(1, kept, _WORK_BYTES // state), chunk
+        return kept
+    return max(1, kept, _WORK_BYTES // state)
 
 
 def _kept_bytes(steps, dim: int, additive: bool):
@@ -637,8 +650,8 @@ def _rows(value, shape, dtype) -> np.ndarray:
 
 
 def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, y, h, streams,
-               collect_path, force_sequential, chunk) -> BatchResult:
-    """One block of :func:`simulate_batch`; ``chunk`` is from :func:`_plan`."""
+               chains, collect_path, force_sequential) -> BatchResult:
+    """One block of :func:`simulate_batch`, its regime ``chains`` drawn."""
     n_paths, dim = x.shape
     n_jumps = jump_times.size
     rows = np.arange(n_paths)
@@ -651,8 +664,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         grid = np.unique(np.concatenate((base, rec)))
         gj = np.searchsorted(grid, jump_times)
         gr = np.searchsorted(grid, rec)
-    chains = [sample_ctmc(spec.xi_chain, int(y[p]), t1 - t0, st.chain)
-              for p, st in enumerate(streams)]
     # each segment's first column: 0, then each jump's
     starts = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
     starts[:, 1:] = gj
@@ -679,22 +690,20 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     steps = grid.size - 1 + n_new
     width = int(steps.max())
 
-    # a chunk is paths rows[sel] over columns a..b: the whole block, or, past
-    # the budget (say with a fast regime chain), one path in chunks of steps
-    if chunk is None and n_paths * width * 128 * dim <= 2 * _WORK_BYTES:
-        chunks = [(slice(None), 0, width)]
-    else:
-        chunk = chunk or max(1, _WORK_BYTES // (128 * dim))
-        chunks = [(slice(p, p + 1), a, min(a + chunk, int(steps[p])))
-                  for p in range(n_paths) for a in range(0, int(steps[p]), chunk)]
-    one_chunk = len(chunks) == 1
-    # the first pass keeps each chunk's products and sums for the second,
-    # for as many paths as twice the budget holds of them with the block's
-    # state at each jump; a path past that draws its normals again, from a
-    # generator in its state before the first draw
+    # a chunk is paths rows[sel] over columns a..b (see simulate_batch); the
+    # groups keep their products while all kept so far, with the block's
+    # state at each jump, fit twice the budget
     additive = _additive(spec)
-    held = np.cumsum(_kept_bytes(steps, dim, additive)) + n_paths * _jump_bytes(n_jumps, dim)
-    keep = one_chunk | (held <= 2 * _WORK_BYTES)
+    limit = max(1, _WORK_BYTES // (128 * dim))
+    group = max(1, limit // width)
+    held = n_paths * _jump_bytes(n_jumps, dim)
+    chunks = []
+    for lo in range(0, n_paths, group):
+        sel = slice(lo, lo + group)
+        n = int(steps[sel].max())
+        held += rows[sel].size * _kept_bytes(n, dim, additive)
+        chunks += [(sel, a, min(a + limit, n), held <= 2 * _WORK_BYTES)
+                   for a in range(0, n, limit)]
 
     def grid_of(p):
         """Path ``p``'s own step grid."""
@@ -770,7 +779,11 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return prod, cum
 
     gens = [st.wiener for st in streams]
-    replay = None if one_chunk else [g.bit_generator.state for g in gens]
+    # only a path that may draw its normals again saves its state, as saving
+    # every one slows short windows: a path in a group whose products are not
+    # kept, or walked over several chunks; a walk in one chunk takes its factors there
+    replay = {p: gens[p].bit_generator.state
+              for sel, a, b, keep in chunks if a or not keep for p in rows[sel].tolist()}
 
     def replayed(p):
         """A generator in path ``p``'s state before its first normal."""
@@ -804,18 +817,16 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             c_start[sel, 1:][inside] = cum[pp, jc]
         return m_fac, u_add, prod, cum
 
-    kept = []
-    for sel, a, b in chunks:
-        part = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(part[2:]))
-        kept.append(part[2:] if keep[sel].all() else None)
+    kept, chunk_of = [], {}
+    for sel, a, b, keep in chunks:
+        m_fac, u_add, *part = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(part))
+        kept.append(part if keep else None)
+        chunk_of.update((sel.start + i, (m_fac, u_add, i)) for i in needs_walk[sel].nonzero()[0])
     walked = {}
     for p in needs_walk.nonzero()[0].tolist():
-        if one_chunk:
-            m_row, u_row = part[0][p], None if part[1] is None else part[1][p]
-        else:
-            _, m_fac, u_add = factors(slice(p, p + 1), 0, int(steps[p]), {p: replayed(p)})
-            m_row, u_row = m_fac[0], None if u_add is None else u_add[0]
-        walked[p] = (np.zeros((steps[p] + 1, dim)), m_row, u_row)
+        m_fac, u_add, i = chunk_of[p] if p not in replay else \
+            (*factors(slice(p, p + 1), 0, int(steps[p]), {p: replayed(p)})[1:], 0)
+        walked[p] = (np.zeros((steps[p] + 1, dim)), m_fac[i], None if u_add is None else u_add[i])
 
     # impulses in time order, on every path: a path's draws come from its own
     # streams, so impulses past its stop change nothing it returns, and where
@@ -868,7 +879,8 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     def second_pass(sel, a, b, prod_cum, before):
         if prod_cum is None:
             if a == 0:
-                gens[sel.start] = replayed(sel.start)
+                for p in rows[sel].tolist():
+                    gens[p] = replayed(p)
             prod_cum = products(*factors(sel, a, b, gens)[1:], a,
                                 (1.0, 0.0) if a == 0 else _last(before))
         prod, cum = prod_cum
@@ -903,7 +915,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return prod_cum
 
     before = None
-    for i, (sel, a, b) in enumerate(chunks):
+    for i, (sel, a, b, _) in enumerate(chunks):
         before, kept[i] = second_pass(sel, a, b, kept[i], before), None
     x_end, rec_raw = x_out[:, -1].copy(), x_out[:, :-1]
 
@@ -1139,7 +1151,7 @@ def simulate_ensemble(
     # one block per batch, sized as the integrator sizes them; a block's
     # stream bundles (about 3 kB each) live until its batch ends
     base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
-    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))[0]
+    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,

@@ -150,6 +150,15 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "1000000000"], "bytes"),
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--inner", "1000000000"], "bytes"),
     (["probe", "--preset", "case2", "--kind", "bound", "--paths", "1000000000"], "bytes"),
+    (["check", "--preset", "case1", "--epsilon", "0"], "epsilon"),
+    (["check", "--preset", "case1", "--epsilon", "-1"], "epsilon"),
+    (["check", "--preset", "case1", "--epsilon", "nan"], "epsilon"),
+    (["check", "--preset", "case1", "--epsilon", "inf"], "epsilon"),
+    (["check", "--preset", "case1", "--epsilon", "nan", "--eps-search"], "epsilon"),
+    (["probe", "--preset", "case1", "--kind", "prob", "--eps1", "nan"], "eps1"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--v-beta", "nan"], "beta"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--v-gamma", "nan"], "gamma"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--epsilon", "nan"], "beta"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"

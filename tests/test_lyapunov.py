@@ -19,6 +19,7 @@ from zenosde.lyapunov import (
     wio_finite_difference,
 )
 from zenosde.lyapunov import _AUX_DISCRETE_OP, _values
+from zenosde.analysis import probe_stability_in_probability
 from zenosde.simulate import IntegratorConfig, RngPolicy, simulate_window
 from zenosde.system import spec_from_dict
 from zenosde.cli import build_preset
@@ -460,6 +461,20 @@ def test_stability_zero_diffusion_rejected():
     spec = make_spec()
     with pytest.raises(ZeroDiffusion):
         linear_stability_check(spec, epsilon=0.1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_nonpositive_or_nonfinite_constants_are_refused(bad):
+    for name in ("gamma", "beta", "coeff"):
+        with pytest.raises(ValueError, match=name):
+            LyapunovSpec(kind="power", **{name: bad})
+    case1 = spec_from_dict(build_preset("case1"))
+    with pytest.raises(ValueError, match="epsilon"):
+        linear_stability_check(case1, epsilon=bad)
+    # a search ignores the given epsilon
+    assert linear_stability_check(case1, epsilon=bad, eps_search=True).epsilon > 0
+    with pytest.raises(ValueError, match="eps1"):
+        probe_stability_in_probability(case1, bad, 1.0, 5, [1.0], RngPolicy(0))
 
 
 def test_stability_eps_search_picks_feasible_epsilon():

@@ -549,22 +549,21 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     span = int(base_jidx[0])
     rec = np.unique(base[[0, span + 3, min(2 * span, base.size - 1), base.size - 1]])
     kw = dict(kw, record_times=rec, collect_path=True)
+    width = base.size - 1 + rec.size
+    additive = simulate._additive(spec)
+    # one block, one chunk: a group of all six whole paths
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 30)
-    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim,
-                          simulate._additive(spec))[1] is None
+    assert simulate._plan(width, base_jidx.size, spec.dim, additive) >= n
     whole = simulate_batch(spec, cfg, 0.0, t1, spec.x0, y, spec.h0,
                            [streams_of(j) for j in range(n)], **kw)
+    # each path alone, in chunks of span steps
     monkeypatch.setattr(simulate, "_WORK_BYTES", span * 128 * spec.dim)
-    assert simulate._plan(base.size - 1 + rec.size, base_jidx.size, spec.dim,
-                          simulate._additive(spec))[1] == span
-    # each path alone draws its normals again for the second pass
     chunked = _assert_batch_matches_alone(spec, cfg, 0.0, t1, spec.x0, y, spec.h0, streams_of,
                                           n, **kw)
     # a lone path whose one chunk holds all its steps keeps its products
-    width = base.size - 1 + rec.size
     monkeypatch.setattr(simulate, "_WORK_BYTES", 3 * width // 2 * 128 * spec.dim)
-    assert simulate._plan(width, base_jidx.size, spec.dim,
-                          simulate._additive(spec))[1] == 3 * width // 2
+    assert simulate._kept_bytes(width, spec.dim, additive) \
+        + simulate._jump_bytes(base_jidx.size, spec.dim) <= 2 * simulate._WORK_BYTES
     lone = simulate_batch(spec, cfg, 0.0, t1, spec.x0, np.broadcast_to(y, n)[0], spec.h0,
                           [streams_of(0)], **kw)
     for name_ in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
@@ -598,15 +597,16 @@ def test_full_horizon_batch_work_memory_stays_near_the_budget():
 
 
 def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
-    # _plan sizes blocks of this window by its 50-step shared grid; a chain
-    # of rate 1e4 adds about 500 switch times to each path
+    # _plan sizes blocks of this window by its 50-step shared grid, so all
+    # 200 paths are one block; a chain of rate 1e4 adds about 500 switch
+    # times to each path, and the block runs in groups of about 13 of them
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
     spec = spec_from_dict(preset)
     cfg = IntegratorConfig()
     t0, t1 = 1.0, 1.05
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) == (163, None)
+    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) == 4369
     pol = RngPolicy(12)
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
@@ -616,9 +616,38 @@ def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one chunk of 163 such paths would hold about 11 MB
+    # one chunk of these 200 paths would hold about 14 MB
     assert peak < 4 * simulate._WORK_BYTES
     for j in range(200):
+        alone = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0,
+                               pol.aux_streams_batch(3, [(j,)]))
+        for name in BATCH_FIELDS:
+            assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (name, j)
+
+
+def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monkeypatch):
+    # about 500 switch times a path: a quarter-MiB budget holds those of 16
+    # paths, though _plan sizes the block by its 50-step shared grid
+    preset = build_preset("case2")
+    preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
+    spec = spec_from_dict(preset)
+    cfg = IntegratorConfig()
+    t0, t1 = 1.0, 1.05
+    pol = RngPolicy(12)
+    simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
+    monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 18)
+    base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
+    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) >= 200
+    streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of the 200 paths would hold their 1.6 MB of switch times twice
+    assert peak < 4 * simulate._WORK_BYTES
+    for j in range(0, 200, 9):
         alone = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0,
                                pol.aux_streams_batch(3, [(j,)]))
         for name in BATCH_FIELDS:
@@ -672,7 +701,8 @@ def test_a_window_draws_its_chain_then_its_normals_then_one_mark_uniform_per_jum
 
 
 # ---------------------------------------------------------------------------
-# plan modes: one chunk, kept products, normals drawn again
+# plans: groups of whole paths, lone paths in chunks, kept products,
+# normals drawn again
 # ---------------------------------------------------------------------------
 
 MEANSQ_GRID = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
@@ -685,68 +715,87 @@ def _window_plan(spec, t0, t1, dt_max, n_rec):
 
 
 def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
+    # a block keeps its paths' products within twice the budget; its chunks
+    # are groups of as many whole paths as 8,192 steps hold
     case2 = spec_from_dict(build_preset("case2"))
-    # a supermartingale segment (k = 5): 34 steps, one jump
-    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == (240, None)
-    # criterion 03: 1,000 jump-free steps and one record time
-    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == (8, None)
-    # the mean-square probe over case2's horizon: 5,157 steps, 200 jumps,
-    # 37 paths' products kept, 8,192-step chunks
-    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == (37, 8192)
+    # a supermartingale segment (k = 5): 34 steps, one jump, in groups of 240
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == 4946
+    # criterion 03: 1,000 jump-free steps and one record time, in groups of 8
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == 259
+    # the mean-square probe over case2's horizon: 5,162 steps, 200 jumps,
+    # 37 paths' products kept, each path its own chunk
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == 37
     # the probability probe's window on case1: 100 jumps over 2,053 steps,
-    # one-chunk blocks of 3 paths before the jump count decided the mode
+    # in groups of 3
     case1 = spec_from_dict(build_preset("case1"))
-    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == (88, 8192)
-    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1)[0] < 88
-    # at dt_max = 1e-4 the 50,108-step window keeps 5 paths' products: their
-    # 250,540 steps redrawn would cost more than 200 more loop iterations
-    assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == (5, 8192)
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 88
+    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1) < 88
+    # at dt_max = 1e-4 the 50,108-step window keeps 5 paths' products, each
+    # path in chunks of 8,192 steps: their 250,540 steps redrawn would cost
+    # more than 200 more loop iterations
+    assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 5
     # with 1,000 jumps 4 kept paths are too few: blocks are as many paths as
     # the budget holds of their per-jump state, and the rest draw again
-    assert simulate._plan(50_000, 1000, 1, False) == (simulate._WORK_BYTES // (1001 * 72), 8192)
+    assert simulate._plan(50_000, 1000, 1, False) == simulate._WORK_BYTES // (1001 * 72)
     # one path's products past twice the budget: its normals are drawn again
-    assert simulate._plan(300_000, 0, 1, False) == (simulate._WORK_BYTES // 72, 8192)
+    assert simulate._plan(300_000, 0, 1, False) == simulate._WORK_BYTES // 72
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["products", "walked"])
 def test_plan_modes_give_the_same_bits(monkeypatch, walk):
-    # the mean-square probe's window as one chunk, as kept per-path chunks,
-    # kept for some paths of a block only, and drawn again, each against
-    # its lone paths
-    spec = spec_from_dict(build_preset("case2"))
+    # each window as one group of all its paths, then in other chunk forms,
+    # each against its lone paths: the mean-square probe's window with each
+    # path its own chunk, its products kept, kept for some paths of a block
+    # only, and drawn again; the probability probe's window on case1 in
+    # groups of 3 whole paths, kept, and in groups of 2 of which a block
+    # keeps only its first
     cfg = IntegratorConfig()
-    base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, 5.0, cfg.dt_max)[:2]
-    width = base.size - 1 + MEANSQ_GRID.size
-    kept = simulate._kept_bytes(width, spec.dim, False)
-    state = simulate._jump_bytes(jump_times.size, spec.dim)
-    n = 5
-    kw = dict(record_times=MEANSQ_GRID, force_sequential=walk)
-    runs = {}
-    for mode, budget in (("one chunk", 2 ** 30), ("kept", simulate._WORK_BYTES),
-                         ("some kept", (5 * kept + 10 * state) // 4),
-                         ("drawn again", 2 * width)):
-        monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
-        block, chunk = simulate._plan(width, jump_times.size, spec.dim, False)
-        if mode == "one chunk":
-            assert chunk is None and block >= n
-        elif mode == "kept":
-            assert chunk >= width and block >= n
-        elif mode == "some kept":
-            # twice the budget holds two of the block's five paths
-            monkeypatch.setattr(simulate, "_plan", lambda *args: (n, budget // 128))
-        else:
-            assert 2 * budget < kept and chunk < width
-        runs[mode] = _assert_batch_matches_alone(spec, cfg, 0.0, 5.0, spec.x0, spec.y0, spec.h0,
-                                                 RngPolicy(15).path_streams, n, **kw)
-        monkeypatch.undo()
-    whole = runs.pop("one chunk")
-    for mode, res in runs.items():
-        for name in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
-            assert getattr(res, name).tobytes() == getattr(whole, name).tobytes(), (mode, name)
-        for p in range(n):
-            k = res.n_jumps[p]
-            for name in ("marks", "x_before", "x_after"):
-                assert getattr(res, name)[p, :k].tobytes() == getattr(whole, name)[p, :k].tobytes()
+    case1 = spec_from_dict(build_preset("case1"))
+    case2 = spec_from_dict(build_preset("case2"))
+    for spec, t1, rec, n, modes in (
+        (case2, 5.0, MEANSQ_GRID, 5, ("one group", "kept", "some kept", "drawn again")),
+        (case1, 1.99, np.array([1.99]), 60, ("one group", "groups", "some groups kept")),
+    ):
+        base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, t1, cfg.dt_max)[:2]
+        width = base.size - 1 + rec.size
+        kept = simulate._kept_bytes(width, spec.dim, False)
+        state = simulate._jump_bytes(jump_times.size, spec.dim)
+        runs = {}
+        for mode in modes:
+            budget = {"one group": 2 ** 30, "some kept": (5 * kept + 10 * state) // 4,
+                      "drawn again": 2 * width,
+                      "some groups kept": 5 * width // 2 * 128}.get(mode, simulate._WORK_BYTES)
+            monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
+            block = simulate._plan(width, jump_times.size, spec.dim, False)
+            if mode == "one group":
+                assert block >= n
+            elif mode == "kept":
+                assert budget // 128 >= width and block >= n
+            elif mode == "groups":
+                assert budget // 128 // width == 3 and block >= n
+            elif mode == "some kept":
+                # twice the budget holds two of the block's five paths
+                monkeypatch.setattr(simulate, "_plan", lambda *args: n)
+            elif mode == "some groups kept":
+                # groups of 2; twice the budget holds the first, not all
+                assert budget // 128 // width == 2
+                assert n * state + 2 * kept < 2 * budget < n * (state + kept)
+                monkeypatch.setattr(simulate, "_plan", lambda *args: n)
+            else:
+                assert 2 * budget < kept and budget // 128 < width
+            runs[mode] = _assert_batch_matches_alone(
+                spec, cfg, 0.0, t1, spec.x0, spec.y0, spec.h0, RngPolicy(15).path_streams, n,
+                record_times=rec, force_sequential=walk)
+            monkeypatch.undo()
+        whole = runs.pop("one group")
+        for mode, res in runs.items():
+            for name in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
+                assert getattr(res, name).tobytes() == getattr(whole, name).tobytes(), (mode, name)
+            for p in range(n):
+                k = res.n_jumps[p]
+                for name in ("marks", "x_before", "x_after"):
+                    assert getattr(res, name)[p, :k].tobytes() \
+                        == getattr(whole, name)[p, :k].tobytes(), (mode, name)
 
 
 @pytest.mark.parametrize("master_seed", [0, 11, 2**32, 2**64 + 7, 2**96 - 3])
@@ -773,6 +822,81 @@ def test_path_streams_batch_matches_path_streams_draw_for_draw(master_seed):
 def test_path_streams_batch_refuses_bad_indices(indices):
     with pytest.raises((TypeError, OverflowError)):
         RngPolicy(0).path_streams_batch(indices)
+
+
+def _loop_grid(realization, t0, t1, dt_max):
+    """The step grid as a Python float loop builds it, step by step: the
+    reference for :func:`simulate._base_boundaries`."""
+    def interior(s, e):
+        pts, t = [], s
+        while e - t > dt_max * (1.0 + 1e-9):
+            t = t + dt_max
+            if t >= e:
+                break
+            pts.append(t)
+        return pts
+
+    pts, cur = [t0], t0
+    for _, tau in realization.jumps_in(t0, t1):
+        pts += interior(cur, tau) + [tau]
+        cur = tau
+    if cur < t1:
+        pts += interior(cur, t1) + [t1]
+    return np.asarray(pts, dtype=float)
+
+
+def test_step_grid_matches_the_float_loop_over_a_schedule_sweep():
+    # harmonic schedules of both kinds and explicit lists, whose jumps fall
+    # on, next to and between multiples of the steps; windows from origins
+    # whose sums round differently, across and inside the jumps
+    schedules = [{"kind": "explicit-list", "times": []},
+                 {"kind": "explicit-list", "times": [0.3, 0.5, 0.7000000000000001, 1.0]},
+                 {"kind": "explicit-list", "times": [1.0 / 3.0, 4.0 / 3.0, 1.4, 1.9]}]
+    schedules += [{"kind": "harmonic-to-point", "t_star": t_star, "c": c, "k_max": k_max,
+                   "delta_min": delta}
+                  for t_star in (2.0, 7.0 / 3.0) for c in (1.0, 0.3) for k_max in (7, 200)
+                  for delta in (1e-9, 1e-3)]
+    schedules += [{"kind": "harmonic-to-zero", "alpha": alpha, "k_max": 50}
+                  for alpha in (1.0, 2.5)]
+    windows = [(0.0, 1.0), (4.0 / 3.0, 2.0), (0.1, 1.99), (1.5, 1.83), (0.25, 0.2500001)]
+    steps = [0.1, 1.0 / 3.0, 2e-2, 1e-3, 7e-4]
+    for schedule in schedules:
+        realization = make_spec(schedule=schedule).realization()
+        for t0, t1 in windows:
+            for dt_max in steps:
+                grid = simulate._base_boundaries(realization, t0, t1, dt_max)[0]
+                ref = _loop_grid(realization, t0, t1, dt_max)
+                assert grid.tobytes() == ref.tobytes(), (schedule, t0, t1, dt_max)
+    realization = make_spec().realization()
+    # the loop's tests at their edges: a remainder of exactly the tolerance,
+    # and, as 1e6 + 1e-3 rounds up by more than it, a step onto the end
+    edges = [(0.0, 0.5 + 0.5 * (1.0 + 1e-9), 0.5), (1e6, 1e6 + 1e-3, 1e-3)]
+    assert edges[0][1] - 0.5 == 0.5 * (1.0 + 1e-9)
+    assert edges[1][1] - 1e6 > 1e-3 * (1.0 + 1e-9)
+    for t0, t1, dt_max in edges:
+        grid = simulate._base_boundaries(realization, t0, t1, dt_max)[0]
+        assert grid.tobytes() == _loop_grid(realization, t0, t1, dt_max).tobytes()
+    # steps of 1.4 float spacings round to one, so the grid needs more
+    # points than the window over dt_max
+    t0 = 1e6
+    dt_max = 1.4 * np.spacing(t0)
+    t1 = t0 + 900 * dt_max
+    grid = simulate._base_boundaries(realization, t0, t1, dt_max)[0]
+    assert grid.size > 1200
+    assert grid.tobytes() == _loop_grid(realization, t0, t1, dt_max).tobytes()
+
+
+def test_step_grid_of_a_million_steps_holds_little_more_than_itself():
+    realization = make_spec().realization()
+    tracemalloc.start()
+    try:
+        grid = simulate._base_boundaries(realization, 4.0 / 3.0, 7.0 / 3.0, 1e-6)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.size == 1_000_002
+    # a list of Python floats, one per point, took about five times the grid
+    assert peak < 3 * grid.nbytes
 
 
 def test_boundary_cache_is_bounded_by_bytes(monkeypatch):

@@ -9,12 +9,15 @@ and on the one after, and diffing the two outputs: they must be equal.
 
 The cases run at master seeds 0, 17 and 2**40 + 3:
 
-- ``simulate_batch`` of 7 paths on case1, case2, case3, intro, a constant-
-  drift (additive) system and a two-dimensional one, over four windows, with
-  ``path_streams`` and ``aux_streams_batch`` bundles, under four work
-  budgets (default, one chunk, chunks kept, normals drawn again): every
-  result field, each path's jump records up to the jumps it applied, and
-  each live path's generator states after the window
+- ``simulate_batch`` on case1, case2, case3, intro, a constant-drift
+  (additive) system and a two-dimensional one, over four windows, with
+  ``path_streams`` and ``aux_streams_batch`` bundles, under five work
+  budgets: 7 paths under the default, one chunk of all paths, chunks kept,
+  and normals drawn again; and 60 paths under a budget whose blocks run in
+  groups of several whole paths, and on the many-jump windows keep the
+  products of only their first groups.  Every result field, each path's
+  jump records up to the jumps it applied, and each live path's generator
+  states after the window
 - ``simulate_ensemble`` and ``simulate_path`` on the four presets
 - the mean-square, probability and blow-up probes, and the segment bound
 - the supermartingale probe and the discrete Lyapunov operator
@@ -42,8 +45,9 @@ import numpy as np
 
 SEEDS = (0, 17, 2 ** 40 + 3)
 WINDOWS = ((1.0, 1.7), (1.5, 1.83), (0.0, 1.99), (0.0, 5.0))
-# name: work budget in bytes, None for the package's own
-BUDGETS = (("default", None), ("one-chunk", 2 ** 30), ("kept", 300 * 128), ("drawn-again", 2 ** 12))
+# name: work budget in bytes (None for the package's own), paths per batch
+BUDGETS = (("default", None, 7), ("one-chunk", 2 ** 30, 7), ("kept", 300 * 128, 7),
+           ("drawn-again", 2 ** 12, 7), ("groups", 3 * 2 ** 18, 60))
 
 
 def canon(value, out: list) -> None:
@@ -108,8 +112,7 @@ def batch_cases(z, all_specs, seeds):
     simulate = z.simulate
     cfg = simulate.IntegratorConfig(dt_max=2e-3)
     own_budget = simulate._WORK_BYTES
-    n = 7
-    for budget_name, budget in BUDGETS:
+    for budget_name, budget, n in BUDGETS:
         simulate._WORK_BYTES = own_budget if budget is None else budget
         try:
             for name, spec in all_specs.items():
