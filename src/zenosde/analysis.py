@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import _INNER_BUNDLES, LyapunovSpec, _segment_times, _values
+from .lyapunov import LyapunovSpec, _continuations, _segment_times, _values
 from .simulate import (
     MAX_RESULT_BYTES,
     ConfigInvalid,
@@ -72,9 +72,9 @@ def verify_segment_moment_bound(
 
     Paths start from the configured initial condition placed at the segment
     start, so the right side's ``E|x(t_k)|^2`` is the same ensemble's value
-    there.  Path ``i`` draws from ``policy.aux_streams(_AUX_OUTER, k, i)``;
-    the paths run as :func:`simulate_batch` calls of at most
-    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.
+    there.  Path ``i`` draws from ``policy.aux_streams(_AUX_OUTER, k, i)``
+    in the batch loop :func:`lyapunov._continuations`; more than
+    ``MAX_RESULT_BYTES`` of sups raises :class:`ConfigInvalid` up front.
     """
     cfg = cfg or IntegratorConfig()
     if n_paths < 1:
@@ -91,12 +91,10 @@ def verify_segment_moment_bound(
     t_lo, t_hi = _segment_times(spec, k)
 
     sups = np.empty(n_paths)
-    for lo in range(0, n_paths, _INNER_BUNDLES):
-        i = np.arange(lo, min(lo + _INNER_BUNDLES, n_paths))
-        streams = policy.aux_streams_batch(_AUX_OUTER, np.column_stack((np.full(i.size, k), i)))
-        res = simulate_batch(spec, cfg, t_lo, t_hi, spec.x0, spec.y0, spec.h0, streams)
+    for rows, res in _continuations(spec, cfg, t_lo, t_hi, [spec.x0], [spec.y0], [spec.h0],
+                                    policy, _AUX_OUTER, [(k,)], n_paths):
         # Python's scalar power, as a lone path's float result was squared
-        sups[i] = [s ** 2 for s in res.sup_norm.tolist()]
+        sups[rows] = [s ** 2 for s in res.sup_norm.tolist()]
     lhs = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     upper = lhs + _Z95 * se
@@ -254,13 +252,13 @@ def probe_supermartingale(
     """Nested Monte Carlo check that skeleton expectations do not increase.
 
     Outer paths evolve from the configured start through the jump skeleton;
-    at each requested segment the inner level continues every outer state to
-    the next skeleton point.  The paired difference per outer path keeps the
-    comparison on one probability space.
+    as they reach a requested segment's start, the inner level continues
+    every live outer state to the next skeleton point, in the batch loop
+    :func:`lyapunov._continuations`.  The paired difference per outer path
+    keeps the comparison on one probability space.
 
-    The outer paths' states at every skeleton point, their stream bundles
-    (about 1 kB each) and one batch of inner bundles (``n_inner`` of them
-    when that is more than ``_INNER_BUNDLES``) are sized by the caller's
+    The outer paths' states and stream bundles (about 1 kB each), and one
+    segment's ``n_outer * n_inner`` inner values, are sized by the caller's
     numbers; more than ``MAX_RESULT_BYTES`` of either raises
     :class:`ConfigInvalid` before anything is built.
     """
@@ -275,79 +273,63 @@ def probe_supermartingale(
     for k in needed:
         if k not in entries:
             raise ValueError(f"skeleton index {k} is not realized")
-    skeleton = sorted({entries[k] for k in needed})
-    # per outer path: x, y, h and alive, live and at every skeleton point,
-    # and its bundle
-    for what, need in (
-        (f"{n_outer} outer paths", n_outer * ((len(skeleton) + 1) * (8 * spec.dim + 17) + 1024)),
-        (f"{n_inner} inner paths", n_inner * 1024),
-    ):
-        if need > MAX_RESULT_BYTES:
-            raise ConfigInvalid(f"{what} need {need} bytes, more than {MAX_RESULT_BYTES}")
+    # per outer path: x, y, h, alive and its bundle; per inner path: a value
+    need = max(n_outer * (8 * spec.dim + 17 + 1024), 8 * n_outer * n_inner)
+    if need > MAX_RESULT_BYTES:
+        raise ConfigInvalid(f"{n_outer} outer by {n_inner} inner paths need {need} bytes, "
+                            f"more than {MAX_RESULT_BYTES}")
 
-    # outer sweep: all paths advance through each skeleton window as one
-    # batch, each path on its own stream across windows
+    # outer sweep: the live paths advance as one batch, each on its own stream across windows,
+    # up to the last segment start; a segment's inner level runs as the sweep reaches it
     outer = policy.aux_streams_batch(_AUX_OUTER, [(0, i) for i in range(n_outer)])
     x = np.tile(spec.x0, (n_outer, 1))
     y = np.full(n_outer, spec.y0)
     h = np.full(n_outer, spec.h0)
     alive = np.ones(n_outer, dtype=bool)
-    states: dict = {}
+    last = max(entries[k] for k in ks)
+    rows = [None] * len(ks)
     t_prev = 0.0
-    for t in skeleton:
+    for t_lo in sorted(t for t in {entries[k] for k in needed} if t <= last):
         idx = np.flatnonzero(alive)
         if idx.size:
-            res = simulate_batch(spec, cfg, t_prev, t, x[idx], y[idx], h[idx],
+            res = simulate_batch(spec, cfg, t_prev, t_lo, x[idx], y[idx], h[idx],
                                  [outer[i] for i in idx])
             x[idx], y[idx], h[idx] = res.x_end, res.y_end, res.h_end
             alive[idx] = ~res.exploded
-        states[t] = (x.copy(), y.copy(), h.copy(), alive.copy())
-        t_prev = t
-
-    rows = []
-    per_group = max(1, _INNER_BUNDLES // n_inner)
-    j = np.arange(n_inner)
-    for k in ks:
-        t_lo, t_hi = entries[k], entries[k + 1]
-        xs, ys, hs, alive = states[t_lo]
-        v_now = []
-        v_next = []
-        idx = np.flatnonzero(alive)
-        for lo in range(0, idx.size, per_group):
-            group = idx[lo : lo + per_group]
-            # the continuations of a group of outer paths run as one batch:
-            # row p * n_inner + j continues outer path i = group[p] on the key
-            # (k, i, j)
-            keys = np.column_stack((np.full(group.size * n_inner, k), np.repeat(group, n_inner),
-                                    np.tile(j, group.size)))
-            res = simulate_batch(spec, cfg, t_lo, t_hi, np.repeat(xs[group], n_inner, axis=0),
-                                 np.repeat(ys[group], n_inner), np.repeat(hs[group], n_inner),
-                                 policy.aux_streams_batch(_AUX_OUTER, keys))
-            inner = np.asarray(_values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end))
-            v_now += _values(v, t_lo, ys[group].tolist(), hs[group].tolist(), xs[group])
-            v_next += [float(row.mean()) for row in inner.reshape(group.size, n_inner)]
-        diffs = np.subtract(v_next, v_now)
-        if diffs.size == 0:
-            rows.append({
-                "k": k, "t_lo": t_lo, "t_hi": t_hi,
-                "ev_k": float("nan"), "ev_next": float("nan"),
-                "diff": float("nan"), "diff_stderr": float("nan"),
-                "n_alive": 0, "ok": False,
-            })
-            continue
-        d_mean = float(diffs.mean())
-        d_se = float(diffs.std(ddof=1) / math.sqrt(diffs.size)) if diffs.size > 1 else 0.0
-        rows.append({
-            "k": k,
-            "t_lo": t_lo,
-            "t_hi": t_hi,
-            "ev_k": float(np.mean(v_now)),
-            "ev_next": float(np.mean(v_next)),
-            "diff": d_mean,
-            "diff_stderr": d_se,
-            "n_alive": int(diffs.size),
-            "ok": bool(d_mean <= 3.0 * d_se),
-        })
+            idx = np.flatnonzero(alive)
+        t_prev = t_lo
+        for p, k in [(p, k) for p, k in enumerate(ks) if entries[k] == t_lo]:
+            t_hi = entries[k + 1]
+            # row q * n_inner + j continues outer path idx[q] on the key (k, idx[q], j)
+            inner = np.empty(idx.size * n_inner)
+            for batch, res in _continuations(spec, cfg, t_lo, t_hi, x[idx], y[idx], h[idx], policy,
+                                             _AUX_OUTER, np.column_stack((np.full(idx.size, k), idx)),
+                                             n_inner):
+                inner[batch] = _values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end)
+            v_now = _values(v, t_lo, y[idx].tolist(), h[idx].tolist(), x[idx])
+            v_next = [float(row.mean()) for row in inner.reshape(idx.size, n_inner)]
+            diffs = np.subtract(v_next, v_now)
+            if diffs.size == 0:
+                rows[p] = {
+                    "k": k, "t_lo": t_lo, "t_hi": t_hi,
+                    "ev_k": float("nan"), "ev_next": float("nan"),
+                    "diff": float("nan"), "diff_stderr": float("nan"),
+                    "n_alive": 0, "ok": False,
+                }
+                continue
+            d_mean = float(diffs.mean())
+            d_se = float(diffs.std(ddof=1) / math.sqrt(diffs.size)) if diffs.size > 1 else 0.0
+            rows[p] = {
+                "k": k,
+                "t_lo": t_lo,
+                "t_hi": t_hi,
+                "ev_k": float(np.mean(v_now)),
+                "ev_next": float(np.mean(v_next)),
+                "diff": d_mean,
+                "diff_stderr": d_se,
+                "n_alive": int(diffs.size),
+                "ok": bool(d_mean <= 3.0 * d_se),
+            }
     return SupermartingaleReport(
         rows=tuple(rows),
         verdict=all(r["ok"] for r in rows),

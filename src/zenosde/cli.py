@@ -138,29 +138,42 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    # a manifest is strict JSON, which has no NaN or infinity
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-# the type of each resolved field a manifest may hold; `rerun` refuses a
-# hand-edited field of another type up front, naming it, instead of failing
-# somewhere inside the run
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# the type of each resolved field a manifest may hold; a command, fresh or
+# rerun from a hand-edited manifest, with a field of another type is refused
+# up front, naming every such field, instead of failing inside the run or
+# writing the value to its manifest
 _RESOLVED_TYPES = (
     (("command",), lambda v: isinstance(v, str), "a string"),
     (("seed", "paths", "threads", "record_stride", "segment", "inner"), _is_int, "an integer"),
-    (("dt_max", "horizon", "eps1", "epsilon", "v_gamma", "v_beta"), _is_number, "a number"),
+    (("dt_max", "horizon", "eps1", "epsilon", "v_gamma", "v_beta"), _is_number, "a finite number"),
     (("kmax", "krange"), lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-    (("deltas", "grid"), lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    (("deltas",), _is_numbers, "a list of finite numbers"),
+    (("grid",), _is_numbers, "a list of finite times, the last one ending the window"),
     (("eps_search",), lambda v: isinstance(v, bool), "true or false"),
 )
 
 
-def _check_resolved_types(resolved) -> None:
+def _run(resolved, out_dir: Path | None) -> int:
+    """Run a resolved command once its fields pass their type checks."""
     if not isinstance(resolved, dict):
         raise ConfigError("manifest field 'resolved' must be an object")
-    for fields, ok, kind in _RESOLVED_TYPES:
-        for field in fields:
-            if field in resolved and not ok(resolved[field]):
-                raise ConfigError(f"manifest field {field!r} must be {kind}, got {resolved[field]!r}")
+    bad = [f"field {field!r} must be {kind}, got {resolved[field]!r}"
+           for fields, ok, kind in _RESOLVED_TYPES for field in fields
+           if field in resolved and not ok(resolved[field])]
+    if bad:
+        raise ConfigError("; ".join(bad))
+    runs = {"simulate": run_simulate, "check": run_check, "probe": run_probe}
+    if resolved["command"] not in runs:
+        raise ConfigError(f"manifest has unknown command {resolved['command']!r}")
+    return runs[resolved["command"]](resolved, out_dir)
 
 
 def _write_manifest(out_dir: Path, resolved: dict) -> None:
@@ -434,7 +447,7 @@ def main(argv=None) -> int:
                 "dt_max": args.dt,
                 "record_stride": args.record_stride,
             }
-            return run_simulate(resolved, Path(args.out))
+            return _run(resolved, Path(args.out))
 
         if args.command == "check":
             cfg_dict = _resolve_config(args)
@@ -444,7 +457,7 @@ def main(argv=None) -> int:
                 "epsilon": args.epsilon,
                 "eps_search": args.eps_search,
             }
-            return run_check(resolved, Path(args.out) if args.out else None)
+            return _run(resolved, Path(args.out) if args.out else None)
 
         if args.command == "probe":
             cfg_dict = _resolve_config(args)
@@ -475,7 +488,7 @@ def main(argv=None) -> int:
                 "v_beta": v_beta,
                 "epsilon": args.epsilon,
             }
-            return run_probe(resolved, Path(args.out))
+            return _run(resolved, Path(args.out))
 
         if args.command == "rerun":
             try:
@@ -484,7 +497,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"manifest not found: {args.manifest}")
             if not isinstance(manifest, dict):
                 raise ConfigError(f"{args.manifest}: a manifest must be a JSON object")
-            runs = {"simulate": run_simulate, "check": run_check, "probe": run_probe}
             # another version's integrator would not reproduce the outputs; a
             # manifest without a version meets the missing-key checks below
             written_by = manifest.get("tool_version", __version__)
@@ -492,11 +504,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"manifest was written by zenosde {written_by}, this is "
                                   f"zenosde {__version__}; rerun it with {written_by}")
             try:
-                resolved = manifest["resolved"]
-                _check_resolved_types(resolved)
-                if resolved["command"] not in runs:
-                    raise ConfigError(f"manifest has unknown command {resolved['command']!r}")
-                return runs[resolved["command"]](resolved, Path(args.out))
+                return _run(manifest["resolved"], Path(args.out))
             except KeyError as exc:
                 raise ConfigError(f"{args.manifest}: missing key {exc}") from None
 

@@ -27,16 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simulate import IntegratorConfig, RngPolicy, simulate_batch
+from .simulate import MAX_RESULT_BYTES, ConfigInvalid, IntegratorConfig, RngPolicy, simulate_batch
 from .simulate import simulate_window  # not called here; bench/tracing.py wraps this name
 from .system import JumpFamily, Report, SystemSpec
 
 _AUX_DISCRETE_OP = 2
 _AUX_WIO = 4
-# stream bundles derived and run at once by a nested Monte Carlo level (the
-# discrete operator, the segment moment bound, the supermartingale probe's
-# inner level); each holds about 1 kB, and 4096 of them raised criterion 05's
-# peak memory by about 12%, against 1.5% for 1024
+# stream bundles derived and run at once by the nested Monte Carlo loop
+# (_continuations); each holds about 1 kB, and 4096 of them raised criterion
+# 05's peak memory by about 12%, against 1.5% for 1024
 _INNER_BUNDLES = 1024
 
 
@@ -180,26 +179,44 @@ def discrete_lyapunov_operator(
     Returns ``(estimate, stderr)``.
 
     Continuation ``j`` draws from ``policy.aux_streams(_AUX_DISCRETE_OP, k,
-    j)``; the continuations run as :func:`simulate_batch` calls of at most
-    ``_INNER_BUNDLES`` paths, so each is bit for bit its lone window.  An
-    ``mc`` that is not an integer of at least 1, and an ``x`` that is not a
-    vector of ``spec.dim`` entries, raise ``ValueError``.
+    j)`` in the batch loop :func:`_continuations`.  An ``mc`` that is not an
+    integer of at least 1, and an ``x`` that is not a vector of ``spec.dim``
+    entries, raise ``ValueError``; more than ``MAX_RESULT_BYTES`` of values
+    raises :class:`ConfigInvalid` before anything runs.
     """
     cfg = cfg or IntegratorConfig()
     mc = _sample_count(mc)
+    if 8 * mc > MAX_RESULT_BYTES:
+        raise ConfigInvalid(f"mc = {mc} needs {8 * mc} bytes, more than {MAX_RESULT_BYTES}")
     y, h, x = state
     x = _state(spec, x)
     t_lo, t_hi = _segment_times(spec, k)
     v0 = float(v.value(t_lo, y, h, x))
     vals = np.empty(mc)
-    for lo in range(0, mc, _INNER_BUNDLES):
-        j = np.arange(lo, min(lo + _INNER_BUNDLES, mc))
-        streams = policy.aux_streams_batch(_AUX_DISCRETE_OP, np.column_stack((np.full(j.size, k), j)))
-        res = simulate_batch(spec, cfg, t_lo, t_hi, x, y, h, streams)
-        vals[j] = _values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end)
+    for rows, res in _continuations(spec, cfg, t_lo, t_hi, [x], [y], [h], policy,
+                                    _AUX_DISCRETE_OP, [(k,)], mc):
+        vals[rows] = _values(v, t_hi, res.y_end.tolist(), res.h_end.tolist(), res.x_end)
     est = float(vals.mean()) - v0
     stderr = float(vals.std(ddof=1) / math.sqrt(mc)) if mc > 1 else float("inf")
     return est, stderr
+
+
+def _continuations(spec: SystemSpec, cfg: IntegratorConfig, t_lo: float, t_hi: float, x, y, h,
+                   policy: RngPolicy, tag: int, prefixes, n: int):
+    """Continue each state ``(x[i], y[i], h[i])`` ``n`` times over ``(t_lo, t_hi]``.
+
+    Row ``i * n + j`` runs on ``policy.aux_streams(tag, *prefixes[i], j)``.
+    Yields ``(rows, BatchResult)`` in row order, in batches of at most
+    ``_INNER_BUNDLES`` rows whose bundles are derived as each is reached; a
+    row's bits do not depend on its batch (see :func:`simulate_batch`).
+    """
+    x, y, h, prefixes = np.asarray(x), np.asarray(y), np.asarray(h), np.asarray(prefixes)
+    total = len(prefixes) * n
+    for lo in range(0, total, _INNER_BUNDLES):
+        rows = np.arange(lo, min(lo + _INNER_BUNDLES, total))
+        i, j = np.divmod(rows, n)
+        streams = policy.aux_streams_batch(tag, np.column_stack((prefixes[i], j)))
+        yield rows, simulate_batch(spec, cfg, t_lo, t_hi, x[i], y[i], h[i], streams)
 
 
 def _values(v: LyapunovSpec, t: float, ys: list, hs: list, xs: np.ndarray) -> list:

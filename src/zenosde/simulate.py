@@ -318,9 +318,10 @@ class Trajectory:
 # step boundary construction
 # ---------------------------------------------------------------------------
 
-def _segment_interior(s: float, e: float, dt_max: float) -> np.ndarray:
+def _segment_interior(s: float, e: float, dt_max: float, room: int) -> np.ndarray:
     """Interior step boundaries strictly between ``s`` and ``e``: steps of
-    ``dt_max`` from ``s``, the last one ending at ``e``.
+    ``dt_max`` from ``s``, the last one ending at ``e``.  More than ``room``
+    points raise :class:`ConfigInvalid` as soon as they are built.
 
     These are the points of the loop ``t = t + dt_max`` from ``s``, run
     while ``e - t > dt_max * (1 + 1e-9)``, that stay below ``e``.
@@ -342,10 +343,18 @@ def _segment_interior(s: float, e: float, dt_max: float) -> np.ndarray:
     lo = max(t.searchsorted(e - 2.0 * tol) - 1, 0)
     for j, v in enumerate(t[lo : end + 1].tolist(), lo):
         if not e - v > tol:
-            return t[1 : min(j, end - 1) + 1]
-    # steps that round short of dt_max, near the float spacing of e, leave
-    # the points short of it: the loop goes on from the last
-    return np.concatenate((t[1:], _segment_interior(t[-1], e, dt_max)))
+            pts = t[1 : min(j, end - 1) + 1]
+            break
+    else:
+        # steps that round short of dt_max, near the float spacing of e,
+        # leave the points short of it: the loop goes on from the last
+        pts = t[1:]
+        if pts.size <= room:
+            pts = np.concatenate((pts, _segment_interior(t[-1], e, dt_max, room - pts.size)))
+    if pts.size > room:
+        raise ConfigInvalid(f"dt_max {float(dt_max)!r} needs more than {MAX_BOUNDARIES} step "
+                            f"boundaries in the window up to {float(e)!r}")
+    return pts
 
 
 def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
@@ -356,8 +365,9 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     object keyed by the window parameters (the nested probes revisit the
     same windows millions of times), until the cache holds ``_CACHE_BYTES``.
     A ``dt_max`` that cannot advance time in the window, or that needs more
-    than ``MAX_BOUNDARIES`` boundaries, raises :class:`ConfigInvalid` before
-    any point is built.
+    than ``MAX_BOUNDARIES`` boundaries by the window's length, raises
+    :class:`ConfigInvalid` before any point is built; steps that round short
+    near the float spacing can need more, which is refused as they are built.
     """
     cache = realization.__dict__.get("_boundary_cache")
     if cache is None:
@@ -375,13 +385,17 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     if (t1 - t0) / dt_max + len(jumps) > MAX_BOUNDARIES:
         raise ConfigInvalid(f"dt_max {dt_max!r} needs more than {MAX_BOUNDARIES} step "
                             f"boundaries on the window [{t0!r}, {t1!r}]")
+    ends = [tau for _, tau in jumps]
+    if (ends[-1] if ends else t0) < t1:
+        ends.append(t1)
+    # the segments' interior points share what the ends leave of the limit
+    room = MAX_BOUNDARIES - 1 - len(ends)
     pts = [[t0]]
     cur = t0
-    for _, tau in jumps:
-        pts += [_segment_interior(cur, tau, dt_max), [tau]]
-        cur = tau
-    if cur < t1:
-        pts += [_segment_interior(cur, t1, dt_max), [t1]]
+    for end in ends:
+        pts += [_segment_interior(cur, end, dt_max, room), [end]]
+        room -= pts[-2].size
+        cur = end
     base = np.concatenate(pts)
     jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
     jump_ks = np.asarray([k for k, _ in jumps], dtype=np.int64)

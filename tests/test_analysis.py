@@ -101,10 +101,10 @@ BOUND_CASES = {
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_bound_batches_match_one_path_at_a_time(case, cap, monkeypatch):
     # caps of 1 and 3 paths per batch, the latter leaving a short final batch
-    import zenosde.analysis as analysis
+    import zenosde.lyapunov as lyapunov
 
     if cap is not None:
-        monkeypatch.setattr(analysis, "_INNER_BUNDLES", cap)
+        monkeypatch.setattr(lyapunov, "_INNER_BUNDLES", cap)
     spec, policy, k, n = BOUND_CASES[case](), RngPolicy(17), 2, 11
     entries = dict(spec.realization().entries)
     sups = np.empty(n)
@@ -264,12 +264,24 @@ def test_supermartingale_batches_match_one_path_at_a_time():
         spec, v, [1, 2, 3], 20, 10, RngPolicy(31))
 
 
+def test_supermartingale_with_exploded_outer_paths_matches_one_path_at_a_time():
+    # case3's outer paths explode between segments 2 and 9, so the live
+    # paths the inner level continues are not contiguous
+    spec = spec_from_dict(build_preset("case3"))
+    v = LyapunovSpec(kind="power", gamma=1.0, beta=0.025)
+    res = probe_supermartingale(spec, v, [1, 2, 9, 10], 20, 10, RngPolicy(31))
+    assert [r["n_alive"] for r in res.rows] == [20, 20, 11, 7]
+    assert list(res.rows) == _supermartingale_rows_one_path_at_a_time(
+        spec, v, [1, 2, 9, 10], 20, 10, RngPolicy(31))
+
+
 @pytest.mark.parametrize("preset", ["case2", "case3"])
 def test_supermartingale_report_does_not_depend_on_the_bundle_cap(preset, monkeypatch):
-    # caps of 1, 2 and 3 outer paths per inner batch, the last leaving a
-    # short final group; case3's outer paths explode, so the alive paths are
-    # not contiguous
-    import zenosde.analysis as analysis
+    # caps of 1, 25 and 35 continuations per batch: the latter two split an
+    # outer path's 10 continuations across batches, and 35 leaves a short
+    # final batch; case3's outer paths explode, so the alive paths are not
+    # contiguous
+    import zenosde.lyapunov as lyapunov
 
     spec = spec_from_dict(build_preset(preset))
     v = LyapunovSpec(kind="power", gamma=1.0, beta=0.025)
@@ -280,7 +292,7 @@ def test_supermartingale_report_does_not_depend_on_the_bundle_cap(preset, monkey
 
     reference = report_json()
     for cap in (1, 25, 35):
-        monkeypatch.setattr(analysis, "_INNER_BUNDLES", cap)
+        monkeypatch.setattr(lyapunov, "_INNER_BUNDLES", cap)
         assert report_json() == reference
 
 

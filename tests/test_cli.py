@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -159,6 +160,18 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--v-beta", "nan"], "beta"),
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--v-gamma", "nan"], "gamma"),
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--epsilon", "nan"], "beta"),
+    # a kind that does not use a number still writes it to its manifest
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--epsilon", "nan"],
+     "epsilon"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--v-beta", "inf"],
+     "v_beta"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--eps1", "nan"], "eps1"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--horizon", "nan"],
+     "horizon"),
+    (["probe", "--preset", "case2", "--kind", "bound", "--horizon", "inf"], "horizon"),
+    # one segment's inner values alone would take 1.6 GB
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--paths", "100000", "--inner",
+      "2000"], "bytes"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"
@@ -191,6 +204,22 @@ def test_rerun_of_a_hand_edited_manifest_names_the_mistyped_field(tmp_path, caps
     assert main(["rerun", str(edited), "--out", str(out2)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and repr(field) in err
+    assert not out2.exists()
+
+
+def test_rerun_of_a_manifest_with_an_unused_infinite_number_writes_nothing(tmp_path, capsys):
+    # the bound does not read the horizon, so only the field check refuses it
+    out1 = tmp_path / "first"
+    argv = ["probe", "--preset", "case2", "--kind", "bound", "--paths", "20", "--out", str(out1)]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest["resolved"]["horizon"] = math.inf
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    assert '"horizon": Infinity' in edited.read_text()
+    out2 = tmp_path / "second"
+    assert main(["rerun", str(edited), "--out", str(out2)]) == EXIT_CONFIG
+    assert "'horizon'" in capsys.readouterr().err
     assert not out2.exists()
 
 

@@ -20,7 +20,13 @@ from zenosde.lyapunov import (
 )
 from zenosde.lyapunov import _AUX_DISCRETE_OP, _values
 from zenosde.analysis import probe_stability_in_probability
-from zenosde.simulate import IntegratorConfig, RngPolicy, simulate_window
+from zenosde.simulate import (
+    MAX_RESULT_BYTES,
+    ConfigInvalid,
+    IntegratorConfig,
+    RngPolicy,
+    simulate_window,
+)
 from zenosde.system import spec_from_dict
 from zenosde.cli import build_preset
 
@@ -300,6 +306,25 @@ def test_discrete_operator_refuses_fewer_than_one_sample(mc):
     spec = spec_from_dict(build_preset("case2"))
     with pytest.raises(ValueError, match="mc must be >= 1"):
         discrete_lyapunov_operator(spec, X2, (1, 1, np.array([1.0])), 1, mc, RngPolicy(0))
+
+
+def test_discrete_operator_refuses_more_values_than_the_result_limit_before_running(monkeypatch):
+    import zenosde.lyapunov as lyapunov
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a continuation ran")
+
+    spec = spec_from_dict(build_preset("case2"))
+    state = (1, 1, np.array([1.0]))
+    monkeypatch.setattr(lyapunov, "simulate_batch", no_run)
+    with pytest.raises(ConfigInvalid, match="bytes"):
+        discrete_lyapunov_operator(spec, X2, state, 1, MAX_RESULT_BYTES // 8 + 1, RngPolicy(0))
+    # under a limit of 5 values, 5 continuations run and 6 are refused
+    monkeypatch.undo()
+    monkeypatch.setattr(lyapunov, "MAX_RESULT_BYTES", 40)
+    discrete_lyapunov_operator(spec, X2, state, 1, 5, RngPolicy(0))
+    with pytest.raises(ConfigInvalid, match="bytes"):
+        discrete_lyapunov_operator(spec, X2, state, 1, 6, RngPolicy(0))
 
 
 @pytest.mark.parametrize("mc", [1e4, 100.0, 2.5])

@@ -886,6 +886,24 @@ def test_step_grid_matches_the_float_loop_over_a_schedule_sweep():
     assert grid.tobytes() == _loop_grid(realization, t0, t1, dt_max).tobytes()
 
 
+def test_step_grid_refuses_more_points_than_the_limit_as_they_are_built(monkeypatch):
+    # steps of 1.4 float spacings round to one: 900 steps by the window's
+    # length build 1,261 points, past a limit of 1,000 that the estimate meets
+    realization = make_spec().realization()
+    t0 = 1e6
+    dt_max = 1.4 * np.spacing(t0)
+    t1 = t0 + 900 * dt_max
+    for limit, size in ((1_000, None), (1_260, None), (1_261, 1_261)):
+        # the grid is built again, not taken from the realization's cache
+        monkeypatch.delitem(realization.__dict__, "_boundary_cache", raising=False)
+        monkeypatch.setattr(simulate, "MAX_BOUNDARIES", limit)
+        if size is None:
+            with pytest.raises(ConfigInvalid, match="step boundaries"):
+                simulate._base_boundaries(realization, t0, t1, dt_max)
+        else:
+            assert simulate._base_boundaries(realization, t0, t1, dt_max)[0].size == size
+
+
 def test_step_grid_of_a_million_steps_holds_little_more_than_itself():
     realization = make_spec().realization()
     tracemalloc.start()

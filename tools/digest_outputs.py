@@ -21,6 +21,11 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
 - ``simulate_ensemble`` and ``simulate_path`` on the four presets
 - the mean-square, probability and blow-up probes, and the segment bound
 - the supermartingale probe and the discrete Lyapunov operator
+- the nested estimators again (the segment bound, the operator, and the
+  supermartingale probe on case2 and on case3, where some and then all
+  outer paths have exploded) in batches of ``SMALL_CAP`` rows, which split
+  an outer path's continuations across batches.  The cap is set on
+  ``lyapunov`` and, in a tree that keeps its own copy, on ``analysis``
 - the CLI's files (manifests without ``created_at``), stdout and exit code
   for ``simulate``, ``rerun``, ``check`` and every ``probe`` kind
 
@@ -48,6 +53,8 @@ WINDOWS = ((1.0, 1.7), (1.5, 1.83), (0.0, 1.99), (0.0, 5.0))
 # name: work budget in bytes (None for the package's own), paths per batch
 BUDGETS = (("default", None, 7), ("one-chunk", 2 ** 30, 7), ("kept", 300 * 128, 7),
            ("drawn-again", 2 ** 12, 7), ("groups", 3 * 2 ** 18, 60))
+# rows per batch of the nested Monte Carlo estimators in the small-cap cases
+SMALL_CAP = 7
 
 
 def canon(value, out: list) -> None:
@@ -187,6 +194,36 @@ def model_cases(z, all_specs, seeds):
                                (spec.y0, spec.h0, spec.x0), k, 40, policy))
 
 
+def small_cap_cases(z, all_specs, seeds):
+    analysis, lyapunov = z.analysis, z.lyapunov
+    v = lyapunov.LyapunovSpec(kind="power", gamma=1.0, beta=0.025)
+    homes = [m for m in (lyapunov, analysis) if hasattr(m, "_INNER_BUNDLES")]
+    own = [m._INNER_BUNDLES for m in homes]
+    for m in homes:
+        m._INNER_BUNDLES = SMALL_CAP
+    try:
+        for seed in seeds:
+            policy = z.simulate.RngPolicy(seed)
+            for name in ("case1", "case2"):
+                for k in (1, 2):
+                    yield (f"bound-cap{SMALL_CAP}/{name}/{k}/{seed}",
+                           outcome(analysis.verify_segment_moment_bound, all_specs[name], k, 50,
+                                   policy))
+            for name in ("case2", "case3"):
+                yield (f"supermartingale-cap{SMALL_CAP}/{name}/{seed}",
+                       outcome(analysis.probe_supermartingale, all_specs[name], v,
+                               [1, 2, 9, 10, 15], 20, 10, policy))
+            for name in ("case1", "case2", "case3"):
+                spec = all_specs[name]
+                for k in (1, 3):
+                    yield (f"operator-cap{SMALL_CAP}/{name}/{k}/{seed}",
+                           outcome(lyapunov.discrete_lyapunov_operator, spec, v,
+                                   (spec.y0, spec.h0, spec.x0), k, 40, policy))
+    finally:
+        for m, cap in zip(homes, own):
+            m._INNER_BUNDLES = cap
+
+
 def cli_cases(z, seeds):
     commands = []
     for seed in map(str, seeds):
@@ -258,7 +295,8 @@ def main(argv=None) -> int:
     all_specs = specs(z)
     with np.errstate(all="ignore"):
         cases = itertools.chain(batch_cases(z, all_specs, seeds),
-                                model_cases(z, all_specs, seeds), cli_cases(z, seeds))
+                                model_cases(z, all_specs, seeds),
+                                small_cap_cases(z, all_specs, seeds), cli_cases(z, seeds))
         for case, value in cases:
             print(case, digest(value), flush=True)
     return 0
