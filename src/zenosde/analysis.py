@@ -142,8 +142,8 @@ def probe_stability_in_probability(
     Verdict: the exceedance is nonincreasing as ``delta`` decreases, within
     a three-standard-error cushion.
 
-    ``threads`` is accepted for compatibility; it no longer changes how
-    paths run (see :func:`simulate_ensemble`).
+    ``threads`` is kept because the CLI passes it; it changes nothing, as
+    the paths run on the calling thread (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     if not 0 < eps1 < math.inf:
@@ -151,13 +151,15 @@ def probe_stability_in_probability(
     deltas = sorted((float(d) for d in delta_grid), reverse=True)
     if not all(0.0 < d < math.inf for d in deltas):
         raise ValueError(f"every delta must be positive and finite, got {deltas}")
+    if not spec.x0.any():
+        raise ValueError("the probability probe scales the direction of x0, so x0 must be nonzero")
     direction = spec.x0 / np.linalg.norm(spec.x0)
     rows = []
     for i, d in enumerate(deltas):
         sub = dataclasses.replace(spec, x0=d * direction)
         sub_policy = policy.derive(10, i)
         summary = simulate_ensemble(sub, cfg, horizon, n_paths, sub_policy,
-                                    record_times=np.asarray([horizon]), threads=threads)
+                                    record_times=np.asarray([horizon]))
         p = float(np.mean(summary.sup_norms > eps1))
         se = math.sqrt(max(p * (1 - p), 1.0 / n_paths) / n_paths)
         rows.append({"delta": d, "exceedance": p, "stderr": se, "n_paths": n_paths})
@@ -189,8 +191,9 @@ def probe_mean_square(
     three-standard-error separation.  The rows also carry the median squared
     norm, which is informative when the mean is dominated by rare paths.
 
-    ``threads`` is accepted for compatibility; it no longer changes how
-    paths run (see :func:`simulate_ensemble`).
+    ``threads`` is kept because the CLI and ``bench/worker.py`` pass it;
+    it changes nothing, as the paths run on the calling thread (see
+    :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     grid = np.asarray(sorted(float(t) for t in time_grid))
@@ -198,7 +201,7 @@ def probe_mean_square(
         raise ValueError("time grid must be increasing with at least two points")
     horizon = float(grid[-1])
     summary = simulate_ensemble(spec, cfg, horizon, n_paths, policy,
-                                record_times=grid, threads=threads)
+                                record_times=grid)
     rows = tuple(
         {
             "t": float(grid[i]),
@@ -365,8 +368,8 @@ def detect_blowup(
 ) -> BlowupReport:
     """Sup-norm statistics as a function of the schedule truncation depth.
 
-    ``threads`` is accepted for compatibility; it no longer changes how
-    paths run (see :func:`simulate_ensemble`).
+    ``threads`` is kept because the CLI passes it; it changes nothing, as
+    the paths run on the calling thread (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     if spec.schedule.concentration_point is None:
@@ -376,7 +379,7 @@ def detect_blowup(
         sub = dataclasses.replace(spec, schedule=dataclasses.replace(spec.schedule, k_max=km))
         sub_policy = policy.derive(20, idx)
         summary = simulate_ensemble(sub, cfg, horizon, n_paths, sub_policy,
-                                    record_times=np.asarray([horizon]), threads=threads)
+                                    record_times=np.asarray([horizon]))
         rows.append({
             "k_max": km,
             "median_sup": summary.sup_median,

@@ -152,7 +152,8 @@ def _is_numbers(v) -> bool:
 # writing the value to its manifest
 _RESOLVED_TYPES = (
     (("command",), lambda v: isinstance(v, str), "a string"),
-    (("seed", "paths", "threads", "record_stride", "segment", "inner"), _is_int, "an integer"),
+    (("seed",), lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    (("paths", "threads", "record_stride", "segment", "inner"), _is_int, "an integer"),
     (("dt_max", "horizon", "eps1", "epsilon", "v_gamma", "v_beta"), _is_number, "a finite number"),
     (("kmax", "krange"), lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     (("deltas",), _is_numbers, "a list of finite numbers"),
@@ -373,8 +374,16 @@ def _parse_krange(text: str):
         raise ConfigError(f"--krange: expected lo:hi, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise :class:`ConfigError`, so that they
+    exit 1 as every other config error does; its subparsers are of this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="zenosde", description=__doc__)
+    ap = _Parser(prog="zenosde", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -427,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "preset":
             cfg = build_preset(args.name)
             print(json.dumps(cfg, indent=2, sort_keys=True))

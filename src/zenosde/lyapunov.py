@@ -393,7 +393,7 @@ def wio_finite_difference_battery(
     if any(t <= tau <= t + dt for _, tau in spec.realization().entries):
         raise ValueError(f"a scheduled jump lies in [t, t + dt] = [{t}, {t + dt}]")
     policy = policy or RngPolicy()
-    rng = policy.aux_generator(_AUX_WIO, key)
+    rng = policy.aux_streams(_AUX_WIO, key).wiener
     rate = spec.xi_chain.exit_rate(y)
     p_switch = 1.0 - math.exp(-rate * dt) if rate > 0 else 0.0
     cum = np.cumsum(spec.xi_chain.jump_probs(y))

@@ -40,6 +40,9 @@ from .markov import _holding_time, sample_ctmc, sample_dtmc_step
 from .system import SystemSpec
 
 _CASCADE_LIMIT = 1e250
+# a path whose norm passes this is exploded: it stops cleanly there instead
+# of overflowing floats
+OVERFLOW_THRESHOLD = 1e12
 # bytes of work arrays the integrator holds at once, about (see _plan)
 _WORK_BYTES = 2 ** 20
 # step boundaries a window may have; ``dt_max = 1e-6`` over [0, 5] needs 5e6
@@ -66,25 +69,21 @@ class ConfigInvalid(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-size policy and explosion threshold.
+    """Step-size policy and the stride of a collected path's samples.
 
     Between jumps the steps are ``dt_max`` long, the last one ending on the
     jump, so each impulse piling up before a concentration point is hit
     exactly; a regime switch or record time splits the step it falls in.
-    ``overflow_threshold`` marks a path as exploded, which stops it cleanly
-    instead of overflowing floats.
+    A path whose norm passes ``OVERFLOW_THRESHOLD`` is exploded.
     """
 
     dt_max: float = 1e-3
     record_stride: int = 10
-    overflow_threshold: float = 1e12
 
     def __post_init__(self):
         # a NaN step never ends the step loop
         if not 0 < self.dt_max < math.inf:
             raise ConfigInvalid("dt_max must be positive and finite")
-        if not 0 < self.overflow_threshold < math.inf:
-            raise ConfigInvalid("overflow_threshold must be positive and finite")
         if self.record_stride < 1:
             raise ConfigInvalid("record_stride must be >= 1")
 
@@ -156,9 +155,6 @@ class RngPolicy:
         prefix = _uint32_words(self.master_seed) + _uint32_words(tag)
         gens = _generators(_keyed_states(prefix, arr.astype(np.uint64)))
         return [StreamBundle(g, g, g) for g in gens]
-
-    def aux_generator(self, tag: int, *key: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.master_seed, tag, *key)))
 
     def derive(self, *key: int) -> "RngPolicy":
         """Deterministically derived sub-policy for an auxiliary ensemble."""
@@ -451,8 +447,8 @@ class WindowResult:
     explosion_time: float | None
     sup_norm: float
     jump_events: list
-    record_values: np.ndarray | None      # (n_record, dim); rows after explosion are NaN
-    record_alive: np.ndarray | None       # bool per record time
+    record_values: np.ndarray             # (n_record, dim); rows after explosion are NaN
+    record_alive: np.ndarray              # bool per record time
     path: tuple | None                    # (times, X, regimes, event labels) when collected
 
 
@@ -479,8 +475,8 @@ class BatchResult:
     marks: np.ndarray                     # (P, J)
     x_before: np.ndarray                  # (P, J, dim)
     x_after: np.ndarray                   # (P, J, dim)
-    record_values: np.ndarray | None      # (P, n_record, dim); NaN at and after explosion
-    record_alive: np.ndarray | None       # (P, n_record)
+    record_values: np.ndarray             # (P, n_record, dim); NaN at and after explosion
+    record_alive: np.ndarray              # (P, n_record)
     paths: list | None                    # per path (times, X, regimes, event labels)
 
     def window(self, p: int) -> WindowResult:
@@ -501,8 +497,8 @@ class BatchResult:
             explosion_time=float(self.explosion_time[p]) if exploded else None,
             sup_norm=float(self.sup_norm[p]),
             jump_events=events,
-            record_values=None if self.record_values is None else self.record_values[p],
-            record_alive=None if self.record_alive is None else self.record_alive[p],
+            record_values=self.record_values[p],
+            record_alive=self.record_alive[p],
             path=None if self.paths is None else self.paths[p],
         )
 
@@ -518,7 +514,6 @@ def simulate_window(
     streams: StreamBundle,
     record_times: np.ndarray | None = None,
     collect_path: bool = False,
-    force_sequential: bool = False,
 ) -> WindowResult:
     """Integrate one path over ``(t0, t1]`` from state ``(x, y, h)``.
 
@@ -527,8 +522,7 @@ def simulate_window(
     impulse map at the pre-jump state.  This is :func:`simulate_batch` with
     a single path.
     """
-    res = simulate_batch(spec, cfg, t0, t1, np.atleast_1d(np.asarray(x, dtype=float)), y, h,
-                         [streams], record_times, collect_path, force_sequential)
+    res = simulate_batch(spec, cfg, t0, t1, x, y, h, [streams], record_times, collect_path)
     return res.window(0)
 
 
@@ -543,7 +537,6 @@ def simulate_batch(
     streams,
     record_times: np.ndarray | None = None,
     collect_path: bool = False,
-    force_sequential: bool = False,
 ) -> BatchResult:
     """Integrate ``len(streams)`` paths over ``(t0, t1]`` in one call.
 
@@ -556,14 +549,15 @@ def simulate_batch(
     switches inside the window is continued by a call to it.  Every arithmetic step
     is the lone path's elementwise operation, so a path's result is bit for
     bit the same in any batch, at any position.  Bundles must not be shared
-    between paths.  ``record_times`` must lie in ``[t0, t1]``.
+    between paths.  ``record_times`` must lie in ``[t0, t1]``; without
+    them the record arrays have no columns, ``(P, 0, dim)`` and ``(P, 0)``.
 
     Each path's step grid (the shared base grid plus its own switch and
     record times) is padded to a common length with zero-length steps, whose
     factor is exactly ``1 + a*0 + b*0*Z = 1``, so one ``cumprod`` along the
     step axis gives every path's segment products.  A path whose products
-    leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` (or every path, with
-    ``force_sequential``) is walked step by step instead.
+    leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` is walked step by step
+    instead.
 
     The paths run in blocks (see :func:`_plan`) that share one impulse loop;
     a block ends early where its regime chains' switch times pass
@@ -588,13 +582,12 @@ def simulate_batch(
     x = _rows(x, (n_paths, spec.dim), float)
     y = _rows(y, n_paths, np.int64)
     h = _rows(h, n_paths, np.int64)
-    rec = None if record_times is None else np.asarray(record_times, dtype=float)
+    rec = np.asarray(() if record_times is None else record_times, dtype=float)
     # a record time before t0 would move every path's start; NaN fails both tests
-    if rec is not None and not ((rec >= t0) & (rec <= t1)).all():
+    if not ((rec >= t0) & (rec <= t1)).all():
         raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
     base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
-    n_rec = 0 if rec is None else rec.size
-    block = _plan(base.size - 1 + n_rec, jump_times.size, spec.dim, _additive(spec))
+    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))
     span, ys = t1 - t0, y.tolist()
     for y0 in dict.fromkeys(ys):  # distinct start regimes, in path order
         spec.xi_chain._check_state(y0)
@@ -616,7 +609,7 @@ def simulate_batch(
         with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
             parts.append(_integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
                                     x[lo:hi], y[lo:hi], h[lo:hi], streams[lo:hi], chains,
-                                    collect_path, force_sequential))
+                                    collect_path))
         lo = hi
     if len(parts) == 1:
         return parts[0]
@@ -683,28 +676,24 @@ def _rows(value, shape, dtype) -> np.ndarray:
 
 
 def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, y, h, streams,
-               chains, collect_path, force_sequential) -> BatchResult:
+               chains, collect_path) -> BatchResult:
     """One block of :func:`simulate_batch`; ``chains`` holds the chains that switch, by path."""
     n_paths, dim = x.shape
     n_jumps = jump_times.size
     rows = np.arange(n_paths)
-    thr = cfg.overflow_threshold
 
     # the shared grid is the base grid plus the record times; a path's own
     # grid also holds its switch times, inserted where they are not on it
     grid, gj = base, base_jidx
-    if rec is not None:
+    if rec.size:  # a window without record times does not sort its grid again
         grid = np.unique(np.concatenate((base, rec)))
         gj = np.searchsorted(grid, jump_times)
-        gr = np.searchsorted(grid, rec)
+    gr = np.searchsorted(grid, rec)
     # each segment's first column: 0, then each jump's
     starts = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
     starts[:, 1:] = gj
     jidx = starts[:, 1:]
-    ridx = None
-    if rec is not None:
-        ridx = np.empty((n_paths, rec.size), dtype=np.int64)
-        ridx[:] = gr
+    ridx = _rows(gr, (n_paths, rec.size), np.int64)
     n_new = np.zeros(n_paths, dtype=np.int64)
     inserted = {}
     for p, chain in chains.items():
@@ -717,8 +706,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             n_new[p] = sw.size
             inserted[p] = (at, sw)
             jidx[p] += np.searchsorted(at, gj, side="right")
-            if ridx is not None:
-                ridx[p] += np.searchsorted(at, gr, side="right")
+            ridx[p] += np.searchsorted(at, gr, side="right")
     steps = grid.size - 1 + n_new
     width = int(steps.max())
 
@@ -824,7 +812,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     c_start = np.zeros((n_paths, n_jumps + 1, dim)) if additive else None
     y_pre = np.empty((n_paths, n_jumps), dtype=np.min_scalar_type(spec.n_regimes))
     needs_walk = np.zeros(n_paths, dtype=bool)
-    needs_walk[:] = force_sequential
     u_mark = np.empty((n_paths, n_jumps))
 
     def first_pass(sel, a, b, carry):
@@ -882,7 +869,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         x_cur = x_post[:, s] = xp + spec.jump.evaluate(k, y_pre[:, s], h_now, xp)
         # every path has stopped once each coordinate is past the threshold,
         # since a norm is never below its largest coordinate
-        if np.abs(x_cur).min() > thr:
+        if np.abs(x_cur).min() > OVERFLOW_THRESHOLD:
             break
     for p, (walk, m_row, u_row) in walked.items():
         _walk(walk, m_row, u_row, starts[p, -1], steps[p], x_cur[p])
@@ -899,7 +886,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     x_first = np.empty((n_paths, dim))
     n_first = np.empty(n_paths)
     # the columns of the states returned: each record time's, then the last
-    out_cols = steps[:, None] if ridx is None else np.column_stack((ridx, steps))
+    out_cols = np.column_stack((ridx, steps))
     x_out = np.empty((n_paths, out_cols.shape[1], dim))
     X_all = np.empty((n_paths, width + 1, dim)) if collect_path else None
     def second_pass(sel, a, b, prod_cum, before):
@@ -928,7 +915,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
                 X[i] = walked[p][0][np.minimum(np.arange(a, b + 1), steps[p])]
         norms = _norms(X)
         sup[sel] = np.fmax(sup[sel], np.fmax.reduce(norms, axis=1))
-        over = norms > thr
+        over = norms > OVERFLOW_THRESHOLD
         if over.any():
             hit = (over.any(axis=1) & (first[sel] < 0)).nonzero()[0]
             j = over[hit].argmax(axis=1)
@@ -951,10 +938,10 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     pre_norms = _norms(x_pre)
     post_norms = _norms(x_post, pointwise=True)
     sup = np.fmax(sup, np.fmax.reduce(np.fmax(pre_norms, post_norms), axis=1, initial=0.0))
-    pre_over = pre_norms > thr
+    pre_over = pre_norms > OVERFLOW_THRESHOLD
     jump_over = np.empty((n_paths, n_jumps + 1), dtype=bool)
     jump_over[:, -1] = True
-    jump_over[:, :-1] = pre_over | (post_norms > thr)
+    jump_over[:, :-1] = pre_over | (post_norms > OVERFLOW_THRESHOLD)
     stop_jump = jump_over.argmax(axis=1)      # the first jump a path stopped at, else n_jumps
     exploded = (first >= 0) | (stop_jump < n_jumps)
     stop = steps.copy()
@@ -980,11 +967,9 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     for p, chain in chains.items():
         y_end[p] = chain.state_at((t_stop[p] if exploded[p] else t1) - t0)
 
-    rec_values = rec_alive = None
-    if rec is not None:
-        # an exploded path contributes no statistics at or past its stop
-        rec_alive = ridx <= (stop - exploded)[:, None]
-        rec_values = np.where(rec_alive[..., None], rec_raw, np.nan)
+    # an exploded path contributes no statistics at or past its stop
+    rec_alive = ridx <= (stop - exploded)[:, None]
+    rec_values = np.where(rec_alive[..., None], rec_raw, np.nan)
     paths = None
     if collect_path:
         paths = []
@@ -995,8 +980,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             else:
                 regimes, switch_abs = chain.state_at(bnd[:-1] - t0), t0 + chain.switch_times
             paths.append(_collect_path(bnd, X_all[p], regimes, jidx[p], jump_ks, switch_abs,
-                                       int(stop[p]), cfg.record_stride,
-                                       () if ridx is None else ridx[p]))
+                                       int(stop[p]), cfg.record_stride, ridx[p]))
     return BatchResult(
         x_end=x_end,
         y_end=y_end,
@@ -1049,7 +1033,7 @@ def _norms(v, pointwise=False):
     return np.linalg.norm(v, axis=-1)
 
 
-def _collect_path(bounds, X, regimes, jump_idx, jump_ks, switch_abs, stop_idx, stride, extra=()):
+def _collect_path(bounds, X, regimes, jump_idx, jump_ks, switch_abs, stop_idx, stride, extra):
     n = bounds.size - 1
     keep = set(range(0, stop_idx + 1, stride))
     keep.add(stop_idx)
@@ -1145,18 +1129,15 @@ def simulate_ensemble(
     n_paths: int,
     policy: RngPolicy,
     record_times: np.ndarray | None = None,
-    threads: int = 1,
 ) -> EnsembleSummary:
     """Simulate ``n_paths`` independent paths and aggregate statistics.
 
     Each path derives its own streams from its index, so the result does not
-    depend on how paths are grouped.  ``threads`` is accepted, and recorded
-    in CLI manifests, but no longer changes how paths run: they run on the
-    calling thread, one :func:`simulate_batch` block at a time (see
-    :func:`_plan`), each block's streams derived in one
-    :meth:`RngPolicy.path_streams_batch` call.  More than
-    ``MAX_RESULT_BYTES`` of per-path results raises :class:`ConfigInvalid`
-    before anything is allocated.
+    depend on how paths are grouped.  The paths run on the calling thread,
+    one :func:`simulate_batch` block at a time (see :func:`_plan`), each
+    block's streams derived in one :meth:`RngPolicy.path_streams_batch`
+    call.  More than ``MAX_RESULT_BYTES`` of per-path results raises
+    :class:`ConfigInvalid` before anything is allocated.
     """
     if n_paths < 1:
         raise ConfigInvalid("n_paths must be >= 1")

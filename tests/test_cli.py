@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -175,11 +176,55 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
     # the intro preset's harmonic-to-zero schedule runs backwards: t_2 = 0.5 < t_1 = 1
     (["probe", "--preset", "intro", "--kind", "supermartingale", "--paths", "5", "--inner", "2",
       "--krange", "1:2"], "segment [t_1, t_2] is empty"),
+    # usage errors are config errors too
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "abc"], "invalid int value"),
+    (["simulate", "--preset", "case1", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["probe", "--preset", "case2", "--kind", "supermartingale", "--krange", "-5:1"],
+     "--krange: expected one argument"),
+    ([], "argument command"),
+    (["simulate", "--preset", "case2", "--seed", "-1"],
+     "field 'seed' must be a non-negative integer, got -1"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--seed", "-1"],
+     "field 'seed' must be a non-negative integer, got -1"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_and_version_exit_zero_and_a_bare_command_exits_one(capsys):
+    for argv in (["--help"], ["probe", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert __version__ in capsys.readouterr().out
+    assert main([]) == EXIT_CONFIG
+    assert "config error: zenosde: the following arguments are required: command" \
+        in capsys.readouterr().err
+
+
+def test_seeds_past_64_bits_still_run(tmp_path):
+    out = tmp_path / "big"
+    assert main(["simulate", "--preset", "case2", "--seed", str(2 ** 64 + 5), "--horizon", "0.2",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["seed"] == 2 ** 64 + 5
+
+
+def test_probability_probe_from_a_zero_start_is_refused_before_numpy_warns(tmp_path, capsys):
+    cfg = build_preset("case2")
+    cfg["initial"]["x0"] = [0.0]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "zero"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["probe", "--config", str(path), "--kind", "prob", "--paths", "5",
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scales the direction of x0, so x0 must be nonzero" in err
+    assert "Warning" not in err
     assert not out.exists()
 
 
@@ -195,6 +240,7 @@ def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
     ("paths", 1.5),
     ("dt_max", "x"),
     ("horizon", None),
+    ("seed", -1),
 ])
 def test_rerun_of_a_hand_edited_manifest_names_the_mistyped_field(tmp_path, capsys, field, value):
     out1 = tmp_path / "first"

@@ -113,18 +113,6 @@ def test_same_seed_and_index_reproduce_bitwise():
     assert not np.array_equal(t1.states, t3.states)
 
 
-def test_thread_count_does_not_change_ensemble():
-    spec = spec_from_dict(build_preset("case2"))
-    grid = np.linspace(0.0, 2.0, 21)
-    s1 = simulate_ensemble(spec, IntegratorConfig(), 2.0, 300, RngPolicy(3),
-                           record_times=grid, threads=1)
-    s3 = simulate_ensemble(spec, IntegratorConfig(), 2.0, 300, RngPolicy(3),
-                           record_times=grid, threads=3)
-    assert np.array_equal(s1.mean_sq, s3.mean_sq)
-    assert np.array_equal(s1.sup_norms, s3.sup_norms)
-    assert np.array_equal(s1.stderr, s3.stderr)
-
-
 def test_single_path_ensemble_matches_trajectory():
     spec = spec_from_dict(build_preset("case2"))
     grid = np.linspace(0.0, 3.0, 7)
@@ -154,10 +142,10 @@ def test_explosion_stops_path():
     assert traj.status == "exploded"
     assert traj.explosion_time is not None and traj.explosion_time < 0.1
     assert traj.times[-1] == traj.explosion_time
-    assert traj.sup_norm > IntegratorConfig().overflow_threshold
+    assert traj.sup_norm > simulate.OVERFLOW_THRESHOLD
 
 
-def test_cascade_matches_sequential_walk():
+def test_cascade_matches_sequential_walk(monkeypatch):
     spec = make_spec(
         drift={"kind": "constant", "values": [0.4, -0.2]},
         diffusion={"values": [0.5, 1.0]},
@@ -171,8 +159,10 @@ def test_cascade_matches_sequential_walk():
     for j in range(10):
         pol = RngPolicy(j)
         r1 = simulate_window(spec, cfg, 0.0, 2.5, spec.x0, 1, 1, pol.path_streams(0))
-        r2 = simulate_window(spec, cfg, 0.0, 2.5, spec.x0, 1, 1, pol.path_streams(0),
-                             force_sequential=True)
+        with monkeypatch.context() as m:
+            # every path whose products are not all 1 walks
+            m.setattr(simulate, "_CASCADE_LIMIT", 1.0)
+            r2 = simulate_window(spec, cfg, 0.0, 2.5, spec.x0, 1, 1, pol.path_streams(0))
         assert r1.x_end[0] == pytest.approx(r2.x_end[0], rel=1e-9)
         assert r1.sup_norm == pytest.approx(r2.sup_norm, rel=1e-9)
 
@@ -213,13 +203,10 @@ def test_trajectory_csv_format(tmp_path):
 def test_invalid_configs_raise():
     with pytest.raises(ConfigInvalid):
         IntegratorConfig(dt_max=0.0)
-    with pytest.raises(ConfigInvalid):
-        IntegratorConfig(overflow_threshold=-1.0)
     # non-finite values would never end the step loop
-    for bad in ({"dt_max": math.nan}, {"dt_max": math.inf}, {"overflow_threshold": math.nan},
-                {"overflow_threshold": math.inf}):
+    for bad in (math.nan, math.inf):
         with pytest.raises(ConfigInvalid, match="finite"):
-            IntegratorConfig(**bad)
+            IntegratorConfig(dt_max=bad)
     spec = make_spec()
     with pytest.raises(ConfigInvalid):
         simulate_path(spec, IntegratorConfig(), -1.0, 0, RngPolicy(0))
@@ -305,7 +292,7 @@ def test_batch_matches_alone_in_two_dimensions():
                                 RngPolicy(9).path_streams, 6)
 
 
-def test_batch_cascade_fallback_is_decided_per_path():
+def test_batch_cascade_fallback_is_decided_per_path(monkeypatch):
     # without switching, regime 1's products fall below 1/_CASCADE_LIMIT
     # (about 0.5^1000) and regime 2's stay in range; both paths share a chunk
     spec = make_spec(
@@ -319,7 +306,8 @@ def test_batch_cascade_fallback_is_decided_per_path():
     pol = RngPolicy(3)
     args = (spec, cfg, 0.0, 100.0, [[1.0], [1.0]], [1, 2], 1)
     batch = _assert_batch_matches_alone(*args, pol.path_streams, 2)
-    walked = _assert_batch_matches_alone(*args, pol.path_streams, 2, force_sequential=True)
+    monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
+    walked = _assert_batch_matches_alone(*args, pol.path_streams, 2)
     # the regime-1 path took the step-by-step walk; the other did not need it
     assert batch.x_end[0].tobytes() == walked.x_end[0].tobytes()
     assert batch.x_end[1].tobytes() != walked.x_end[1].tobytes()
@@ -413,7 +401,7 @@ def test_lone_windows_over_the_threshold_before_a_jump_match_their_batch_rows():
         alone = simulate_window(spec, cfg, t0, t1, x0, spec.y0, spec.h0, pol.aux_streams(9, j))
         assert _window_bytes(alone) == _window_bytes(batch.window(j)), j
         n = len(alone.jump_events)
-        if n < batch.jump_times.size and abs(batch.x_before[j, n, 0]) > cfg.overflow_threshold:
+        if n < batch.jump_times.size and abs(batch.x_before[j, n, 0]) > simulate.OVERFLOW_THRESHOLD:
             over_before_a_jump += 1
     assert over_before_a_jump > 0
 
@@ -487,6 +475,33 @@ def test_record_times_outside_the_window_are_refused(record_times):
     assert res.record_values[0, 0, 0] == spec.x0[0]
 
 
+def test_batch_given_no_record_times_equals_one_given_an_empty_array():
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig()
+    pol = RngPolicy(12)
+    y = [1, 2, 1, 2, 2]
+    bundles = {"path": lambda: [pol.path_streams(j) for j in range(5)],
+               "aux": lambda: pol.aux_streams_batch(4, [(j,) for j in range(5)])}
+    for kind, make in bundles.items():
+        runs = []
+        for rec in ({}, {"record_times": np.empty(0)}):
+            streams = make()
+            res = simulate_batch(spec, cfg, 0.0, 1.99, spec.x0, y, spec.h0, streams,
+                                 collect_path=True, **rec)
+            runs.append((res, [[g.bit_generator.state for g in (b.chain, b.mark, b.wiener)]
+                               for b in streams]))
+        (none, states), (empty, empty_states) = runs
+        assert none.record_values.shape == (5, 0, 1) and none.record_alive.shape == (5, 0)
+        assert none.record_alive.dtype == bool
+        for name in BATCH_FIELDS + ("n_jumps", "marks", "x_before", "x_after", "record_values",
+                                    "record_alive"):
+            assert getattr(none, name).tobytes() == getattr(empty, name).tobytes(), (kind, name)
+        _assert_paths_equal(none.paths, empty.paths)
+        assert states == empty_states, kind
+    window = simulate_window(spec, cfg, 0.0, 1.99, spec.x0, 2, 1, pol.path_streams(0))
+    assert window.record_values.shape == (0, 1) and window.record_alive.shape == (0,)
+
+
 def test_ensemble_results_larger_than_the_cap_are_refused_before_allocating():
     # 10**9 paths would need 16 GB of per-path results
     spec = make_spec()
@@ -536,22 +551,21 @@ def _cascade_spec():
     )
 
 
-# name: (spec, window end, dt_max, starting regimes, keyword arguments, bundles of path j)
+# name: (spec, window end, dt_max, starting regimes, whether every path walks, bundles of path j)
 LONG_WINDOWS = {
-    "case1": (lambda: spec_from_dict(build_preset("case1")), 5.0, 1e-3, None, {},
+    "case1": (lambda: spec_from_dict(build_preset("case1")), 5.0, 1e-3, None, False,
               RngPolicy(31).path_streams),
-    "case2": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, {},
+    "case2": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, False,
               RngPolicy(32).path_streams),
-    "case3": (lambda: spec_from_dict(build_preset("case3")), 5.0, 1e-3, None, {},
+    "case3": (lambda: spec_from_dict(build_preset("case3")), 5.0, 1e-3, None, False,
               RngPolicy(4).path_streams),
-    "intro": (lambda: spec_from_dict(build_preset("intro")), 5.0, 1e-3, None, {},
+    "intro": (lambda: spec_from_dict(build_preset("intro")), 5.0, 1e-3, None, False,
               RngPolicy(33).path_streams),
-    "additive": (_additive_spec, 5.0, 1e-3, None, {}, RngPolicy(34).path_streams),
-    "dim2": (_dim2_spec, 5.0, 1e-3, None, {}, RngPolicy(35).path_streams),
-    "cascade": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, {}, RngPolicy(3).path_streams),
-    "cascade-walked": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, {"force_sequential": True},
-                       RngPolicy(3).path_streams),
-    "aliased": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, {},
+    "additive": (_additive_spec, 5.0, 1e-3, None, False, RngPolicy(34).path_streams),
+    "dim2": (_dim2_spec, 5.0, 1e-3, None, False, RngPolicy(35).path_streams),
+    "cascade": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, False, RngPolicy(3).path_streams),
+    "cascade-walked": (_cascade_spec, 100.0, 0.1, [1, 2] * 3, True, RngPolicy(3).path_streams),
+    "aliased": (lambda: spec_from_dict(build_preset("case2")), 5.0, 1e-3, None, False,
                 lambda j: RngPolicy(36).aux_streams_batch(2, [(j,)])[0]),
 }
 
@@ -565,7 +579,10 @@ def _assert_paths_equal(a, b):
 
 @pytest.mark.parametrize("name", list(LONG_WINDOWS))
 def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch, name):
-    make, t1, dt_max, regimes, kw, streams_of = LONG_WINDOWS[name]
+    make, t1, dt_max, regimes, walk, streams_of = LONG_WINDOWS[name]
+    if walk:
+        # every path whose products are not all 1 walks
+        monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
     spec = make()
     cfg = IntegratorConfig(dt_max=dt_max)
     n = 6
@@ -576,7 +593,7 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     # before them: every cascade path), and inside segments elsewhere
     span = int(base_jidx[0])
     rec = np.unique(base[[0, span + 3, min(2 * span, base.size - 1), base.size - 1]])
-    kw = dict(kw, record_times=rec, collect_path=True)
+    kw = dict(record_times=rec, collect_path=True)
     width = base.size - 1 + rec.size
     additive = simulate._additive(spec)
     # one block, one chunk: a group of all six whole paths
@@ -871,9 +888,12 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
                 monkeypatch.setattr(simulate, "_plan", lambda *args: n)
             else:
                 assert 2 * budget < kept and budget // 128 < width
+            if walk:
+                # every path whose products are not all 1 walks
+                monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
             runs[mode] = _assert_batch_matches_alone(
                 spec, cfg, 0.0, t1, spec.x0, spec.y0, spec.h0, RngPolicy(15).path_streams, n,
-                record_times=rec, force_sequential=walk)
+                record_times=rec)
             monkeypatch.undo()
         whole = runs.pop("one group")
         for mode, res in runs.items():

@@ -10,8 +10,10 @@ and on the one after, and diffing the two outputs: they must be equal.
 The cases run at master seeds 0, 17 and 2**40 + 3:
 
 - ``simulate_batch`` on case1, case2, case3, intro, a constant-drift
-  (additive) system, a two-dimensional one and case2 with a fast regime
-  chain (rates 20, so most windows switch many times), over four windows, with
+  (additive) system, a two-dimensional one, case2 with a fast regime
+  chain (rates 20, so most windows switch many times) and case2 with a
+  stiff regime (drift -400, whose paths on the long windows are walked
+  step by step), over four windows, with
   ``path_streams`` and ``aux_streams_batch`` bundles, under five work
   budgets: 7 paths under the default, one chunk of all paths, chunks kept,
   and normals drawn again; and 60 paths under a budget whose blocks run in
@@ -116,6 +118,11 @@ def specs(z) -> dict:
     fast = build("case2")
     fast["xi_generator"] = {"q": [[-20.0, 20.0], [20.0, -20.0]]}
     out["fast-chain"] = z.system.spec_from_dict(fast)
+    # regime 1's step factors are about 0.2 at dt_max = 2e-3, so a path that
+    # stays in it for long has products below 1/_CASCADE_LIMIT and is walked
+    stiff = build("case2")
+    stiff["drift"]["values"] = [-400.0, 0.5]
+    out["stiff"] = z.system.spec_from_dict(stiff)
     return out
 
 
