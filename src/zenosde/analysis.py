@@ -132,7 +132,6 @@ def probe_stability_in_probability(
     delta_grid,
     policy: RngPolicy,
     cfg: IntegratorConfig | None = None,
-    threads: int = 1,
 ) -> StabilityProbeResult:
     """Exceedance probability of the running sup from shrinking starts.
 
@@ -141,9 +140,6 @@ def probe_stability_in_probability(
     that ``sup |x(t)|`` over the truncated horizon exceeds ``eps1``.
     Verdict: the exceedance is nonincreasing as ``delta`` decreases, within
     a three-standard-error cushion.
-
-    ``threads`` is kept because the CLI passes it; it changes nothing, as
-    the paths run on the calling thread (see :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
     if not 0 < eps1 < math.inf:
@@ -153,7 +149,9 @@ def probe_stability_in_probability(
         raise ValueError(f"every delta must be positive and finite, got {deltas}")
     if not spec.x0.any():
         raise ValueError("the probability probe scales the direction of x0, so x0 must be nonzero")
-    direction = spec.x0 / np.linalg.norm(spec.x0)
+    # scaled by its largest entry first, so that the norm neither overflows nor underflows
+    unit = spec.x0 / np.abs(spec.x0).max()
+    direction = unit / np.linalg.norm(unit)
     rows = []
     for i, d in enumerate(deltas):
         sub = dataclasses.replace(spec, x0=d * direction)
@@ -191,8 +189,8 @@ def probe_mean_square(
     three-standard-error separation.  The rows also carry the median squared
     norm, which is informative when the mean is dominated by rare paths.
 
-    ``threads`` is kept because the CLI and ``bench/worker.py`` pass it;
-    it changes nothing, as the paths run on the calling thread (see
+    ``threads`` is kept because ``bench/worker.py`` passes it; it changes
+    nothing, as the paths run on the calling thread (see
     :func:`simulate_ensemble`).
     """
     cfg = cfg or IntegratorConfig()
@@ -364,13 +362,8 @@ def detect_blowup(
     n_paths: int,
     policy: RngPolicy,
     cfg: IntegratorConfig | None = None,
-    threads: int = 1,
 ) -> BlowupReport:
-    """Sup-norm statistics as a function of the schedule truncation depth.
-
-    ``threads`` is kept because the CLI passes it; it changes nothing, as
-    the paths run on the calling thread (see :func:`simulate_ensemble`).
-    """
+    """Sup-norm statistics as a function of the schedule truncation depth."""
     cfg = cfg or IntegratorConfig()
     if spec.schedule.concentration_point is None:
         raise ValueError("blow-up detection applies to accumulating schedules")

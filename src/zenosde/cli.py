@@ -36,7 +36,7 @@ from .simulate import (
     simulate_path,
     trajectory_to_csv,
 )
-from .system import ConfigError, check_existence_conditions, spec_from_dict
+from .system import ConfigError, check_existence_conditions, read_config, spec_from_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,14 +110,7 @@ def _resolve_config(args) -> dict:
     if getattr(args, "preset", None):
         return build_preset(args.preset)
     if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        cfg = read_config(Path(args.config))
         spec_from_dict(cfg)  # validation pass with field-level diagnostics
         return cfg
     raise ConfigError("one of --preset or --config is required")
@@ -153,7 +146,8 @@ def _is_numbers(v) -> bool:
 _RESOLVED_TYPES = (
     (("command",), lambda v: isinstance(v, str), "a string"),
     (("seed",), lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    (("paths", "threads", "record_stride", "segment", "inner"), _is_int, "an integer"),
+    (("paths", "threads"), lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (("record_stride", "segment", "inner"), _is_int, "an integer"),
     (("dt_max", "horizon", "eps1", "epsilon", "v_gamma", "v_beta"), _is_number, "a finite number"),
     (("kmax", "krange"), lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     (("deltas",), _is_numbers, "a list of finite numbers"),
@@ -202,8 +196,6 @@ def run_simulate(resolved: dict, out_dir: Path) -> int:
     cfg = IntegratorConfig(dt_max=resolved["dt_max"], record_stride=resolved["record_stride"])
     policy = RngPolicy(resolved["seed"])
     horizon = resolved["horizon"]
-    if resolved["paths"] < 1:
-        raise ConfigError("paths must be >= 1")
     any_exploded = False
     for i in range(resolved["paths"]):
         traj = simulate_path(spec, cfg, horizon, i, policy)
@@ -243,11 +235,8 @@ def run_check(resolved: dict, out_dir: Path | None) -> int:
 
     stability_ok = True
     try:
-        stab = linear_stability_check(
-            spec,
-            epsilon=resolved["epsilon"],
-            eps_search=resolved["eps_search"],
-        )
+        # no epsilon asks for the search
+        stab = linear_stability_check(spec, None if resolved["eps_search"] else epsilon)
         report["stability"] = stab.as_dict()
         print("\nlinear stability test")
         print(stab.as_text())
@@ -269,9 +258,6 @@ def run_probe(resolved: dict, out_dir: Path) -> int:
     policy = RngPolicy(resolved["seed"])
     kind = resolved["kind"]
     paths = resolved["paths"]
-    threads = resolved["threads"]
-    if paths < 1:
-        raise ConfigError("paths must be >= 1")
 
     # each kind writes <kind>.json, and <kind>.csv of its rows' fields
     fields = None
@@ -282,12 +268,12 @@ def run_probe(resolved: dict, out_dir: Path) -> int:
     elif kind == "prob":
         res = probe_stability_in_probability(
             spec, resolved["eps1"], resolved["horizon"], paths,
-            resolved["deltas"], policy, cfg, threads=threads,
+            resolved["deltas"], policy, cfg,
         )
         fields = ["delta", "exceedance", "stderr", "n_paths"]
         verdict = f"exceedance trend verdict: {res.verdict} ({res.notes})"
     elif kind == "meansq":
-        res = probe_mean_square(spec, resolved["grid"], paths, policy, cfg, threads=threads)
+        res = probe_mean_square(spec, resolved["grid"], paths, policy, cfg)
         fields = ["t", "mean_sq", "stderr", "median_sq", "explosion_fraction"]
         verdict = f"mean-square decay verdict: {res.verdict}"
     elif kind == "supermartingale":
@@ -299,8 +285,7 @@ def run_probe(resolved: dict, out_dir: Path) -> int:
         fields = ["k", "t_lo", "t_hi", "ev_k", "ev_next", "diff", "diff_stderr", "n_alive", "ok"]
         verdict = f"skeleton expectation verdict: {res.verdict}"
     elif kind == "blowup":
-        res = detect_blowup(spec, resolved["kmax"], resolved["horizon"], paths, policy, cfg,
-                            threads=threads)
+        res = detect_blowup(spec, resolved["kmax"], resolved["horizon"], paths, policy, cfg)
         fields = ["k_max", "median_sup", "max_sup", "exploded_fraction"]
         verdict = f"blow-up growth verdict: {res.verdict}"
     else:

@@ -516,17 +516,20 @@ _EPS_SEARCH_GRID = np.logspace(0.0, -12.0, 121)
 def linear_stability_check(
     spec: SystemSpec,
     epsilon: float | None = 0.1,
-    eps_search: bool = False,
     x_grid: np.ndarray | None = None,
     k_max: int | None = None,
 ) -> LinearStabilityReport:
     """Closed-form sufficient stability test for the linear switched family.
 
     Per regime the drift margin ``a_i - b_i^2/2`` must beat ``-epsilon``;
-    the power exponent is ``beta = epsilon / b_max^2``; the growth
-    inequality ``< i (beta epsilon + 2) / 2`` is evaluated for both its
-    switching-sum and its drift-coefficient reading and the overall verdict
-    requires both, together with the jump moment condition.
+    the power exponent is ``beta = epsilon / b_max^2`` with ``b_max`` the
+    largest ``|b_i|``; the growth inequality ``< i (beta epsilon + 2) / 2``
+    is evaluated for both its switching-sum and its drift-coefficient
+    reading and the overall verdict requires both, together with the jump
+    moment condition.  ``epsilon=None`` takes the largest value of a grid
+    that every drift margin beats.  The jump moment condition runs over the
+    impulses up to ``k_max``, by default the largest index the schedule
+    keeps.
     """
     if spec.drift.kind != "linear-per-regime" or spec.diffusion.kind != "linear-per-regime":
         raise ValueError("linear stability test applies to linear-per-regime coefficients")
@@ -536,12 +539,12 @@ def linear_stability_check(
         raise ZeroDiffusion("every regime needs a nonzero diffusion rate")
 
     margins = a_vals - b_vals ** 2 / 2.0
-    if eps_search or epsilon is None:
+    if epsilon is None:
         ok_eps = [e for e in _EPS_SEARCH_GRID if (margins < -e).all()]
         epsilon = float(max(ok_eps)) if ok_eps else float(_EPS_SEARCH_GRID[-1])
     elif not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    b_max = float(b_vals.max())
+    b_max = float(np.abs(b_vals).max())
     beta = epsilon / b_max ** 2
 
     qn = spec.xi_chain.normalized_jump_matrix()
@@ -562,7 +565,7 @@ def linear_stability_check(
             drift_reading_ok=bool(a_vals[i - 1] < rhs),
         ))
 
-    k_hi = k_max if k_max is not None else spec.schedule.k_max
+    k_hi = k_max if k_max is not None else int(spec.realization().indices.max(initial=0))
     jm = check_jump_moment_condition(spec.jump, spec.eta_chain, beta, k_hi, x_grid)
 
     overall = (

@@ -296,6 +296,16 @@ class JumpFamily:
     def gamma_total(self) -> float:
         return self.gamma_tail(1)
 
+    def _tail_root(self, eps: float) -> int:
+        """Where ``exp-mark-clamped``'s ``gamma_tail`` crosses ``eps``, in real
+        arithmetic; the start of :func:`tail_cutoff_index`'s search."""
+        r = math.exp(self.alpha * self._mark_exponent())
+        if self.scale == 0.0 or not 0.0 < r < 1.0:
+            return 1
+        # |scale| r^k / (1 - r) < eps  <=>  k > log(eps (1 - r) / |scale|) / log(r)
+        root = (math.log(eps) + math.log(1.0 - r) - math.log(abs(self.scale))) / math.log1p(r - 1.0)
+        return max(1, int(root)) if math.isfinite(root) else 1
+
     def l_prefix_sum(self, n: int) -> float:
         """``sum_{k=1}^{n} lipschitz_sq(k)``."""
         if self.kind == "zero":
@@ -415,20 +425,15 @@ class ScheduleRealization:
         return [(k, t) for k, t in self.entries if t0 < t <= t1]
 
 
-def generate_schedule(schedule: JumpSchedule) -> ScheduleRealization:
-    """Realize a schedule: sort ascending, truncate, validate monotonicity.
+@lru_cache(maxsize=64)
+def realize_schedule(schedule: JumpSchedule) -> ScheduleRealization:
+    """Realize a schedule, cached: sort ascending, truncate, validate monotonicity.
 
     A jump is dropped when its index exceeds ``k_max`` (only possible for
     explicit lists) or when its gap to the last kept jump is below
-    ``delta_min``.  Raises :class:`EmptySchedule` when nothing survives.
+    ``delta_min``.  An empty result is allowed (a system without impulses
+    is legitimate).
     """
-    real = _realize_allow_empty(schedule)
-    if not real.entries:
-        raise EmptySchedule("schedule truncation removed every jump")
-    return real
-
-
-def _realize_allow_empty(schedule: JumpSchedule) -> ScheduleRealization:
     # gaps between adjacent indices shrink towards the concentration point;
     # the first too-small gap cuts the whole remaining tail so the realized
     # index sequence stays contiguous from k = 1
@@ -455,6 +460,14 @@ def _realize_allow_empty(schedule: JumpSchedule) -> ScheduleRealization:
         if times[-1] >= star:
             raise ConfigError("accumulating schedule must stay below its concentration point")
     return ScheduleRealization(entries=tuple(kept), n_truncated=dropped)
+
+
+def generate_schedule(schedule: JumpSchedule) -> ScheduleRealization:
+    """:func:`realize_schedule`, raising :class:`EmptySchedule` when nothing survives."""
+    real = realize_schedule(schedule)
+    if not real.entries:
+        raise EmptySchedule("schedule truncation removed every jump")
+    return real
 
 
 def _harmonic_cutoff(schedule: JumpSchedule) -> int:
@@ -488,17 +501,6 @@ def _harmonic_cutoff(schedule: JumpSchedule) -> int:
         raise ConfigError(f"harmonic schedule keeps more than {MAX_HARMONIC_ENTRIES} entries; "
                           "raise delta_min or lower k_max")
     return limit
-
-
-@lru_cache(maxsize=64)
-def _cached_realization(schedule: JumpSchedule) -> ScheduleRealization:
-    return _realize_allow_empty(schedule)
-
-
-def realize_schedule(schedule: JumpSchedule) -> ScheduleRealization:
-    """Cached realization; unlike :func:`generate_schedule` an empty result
-    is allowed (a system without impulses is legitimate)."""
-    return _cached_realization(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +599,18 @@ def derive_constants(spec: SystemSpec) -> DerivedConstants:
     )
 
 
-def tail_cutoff_index(gamma, eps: float, *, rel_tol: float = 1e-12, max_terms: int = 10 ** 6) -> int:
+# a callable's terms are summed until a streak of terms below this share of
+# the sum, or this many terms
+_TAIL_REL_TOL = 1e-12
+_TAIL_MAX_TERMS = 10 ** 6
+
+
+def tail_cutoff_index(gamma, eps: float) -> int:
     """Least ``k >= 1`` whose tail sum ``sum_{m>=k} gamma_m`` drops below ``eps``.
 
     ``gamma`` may be a :class:`JumpFamily` (closed-form tails), a callable
-    ``m -> gamma_m`` (summed numerically to relative tolerance ``rel_tol``)
-    or a finite sequence (zero beyond its end).  Raises
+    ``m -> gamma_m`` (summed numerically to relative tolerance
+    ``_TAIL_REL_TOL``) or a finite sequence (zero beyond its end).  Raises
     :class:`NeverReached` for ``eps <= 0`` and :class:`DivergentTail` when
     the series diverges.
     """
@@ -611,12 +619,14 @@ def tail_cutoff_index(gamma, eps: float, *, rel_tol: float = 1e-12, max_terms: i
     if isinstance(gamma, JumpFamily):
         if math.isinf(gamma.gamma_total()):
             raise DivergentTail("jump sizes are not summable")
+        if gamma.kind == "exp-mark-clamped":
+            return _least_k_below(gamma.gamma_tail, eps, gamma._tail_root(eps))
         k = 1
         while gamma.gamma_tail(k) >= eps:
             k += 1
         return k
     if callable(gamma):
-        terms = _sum_until_converged(gamma, rel_tol, max_terms)
+        terms = _sum_until_converged(gamma)
     else:
         terms = np.asarray(list(gamma), dtype=float)
         if terms.size and (terms < 0).any():
@@ -636,11 +646,28 @@ def tail_cutoff_index(gamma, eps: float, *, rel_tol: float = 1e-12, max_terms: i
     return k
 
 
-def _sum_until_converged(gamma, rel_tol: float, max_terms: int) -> np.ndarray:
+def _least_k_below(tail, eps: float, start: int) -> int:
+    """Least ``k >= 1`` with ``tail(k) < eps``, for a ``tail`` that does not
+    increase in ``k``: the answer of the loop up from 1, in calls logarithmic
+    in its distance from ``start``.  ``lo = 0`` stands for a tail at or above
+    ``eps``."""
+    lo, hi, step = start - 1, start, 1
+    # widen [lo, hi] until tail(lo) >= eps > tail(hi), then halve it
+    while tail(hi) >= eps:
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and tail(lo) < eps:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) < eps else (mid, hi)
+    return hi
+
+
+def _sum_until_converged(gamma) -> np.ndarray:
     terms = []
     acc = 0.0
     small_streak = 0
-    for m in range(1, max_terms + 1):
+    for m in range(1, _TAIL_MAX_TERMS + 1):
         g = float(gamma(m))
         if g < 0:
             raise ValueError("gamma terms must be nonnegative")
@@ -648,13 +675,13 @@ def _sum_until_converged(gamma, rel_tol: float, max_terms: int) -> np.ndarray:
             raise DivergentTail("jump sizes are not summable")
         terms.append(g)
         acc += g
-        if acc > 0 and g <= rel_tol * acc:
+        if acc > 0 and g <= _TAIL_REL_TOL * acc:
             small_streak += 1
             if small_streak >= 8:
                 return np.asarray(terms, dtype=float)
         else:
             small_streak = 0
-    raise DivergentTail(f"series did not converge within {max_terms} terms")
+    raise DivergentTail(f"series did not converge within {_TAIL_MAX_TERMS} terms")
 
 
 class TailRow(NamedTuple):
@@ -706,11 +733,12 @@ class ExistenceReport(Report):
         })
 
 
-DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# the tail balance table's thresholds, largest first
+_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def check_existence_conditions(spec: SystemSpec, eps_grid=DEFAULT_EPS_GRID) -> ExistenceReport:
-    """Evaluate the existence conditions for ``spec`` over an ``eps`` grid.
+def check_existence_conditions(spec: SystemSpec) -> ExistenceReport:
+    """Evaluate the existence conditions for ``spec`` over the ``eps`` grid ``_EPS_GRID``.
 
     Always produces a report; divergent sums appear as failed conditions,
     never as exceptions.
@@ -723,14 +751,14 @@ def check_existence_conditions(spec: SystemSpec, eps_grid=DEFAULT_EPS_GRID) -> E
     rows = []
     balances = []
     if sum_gamma_ok and sum_l_ok:
-        for eps in sorted(eps_grid, reverse=True):
+        for eps in _EPS_GRID:
             n_eps = tail_cutoff_index(spec.jump, eps)
             balance = math.log(eps) + n_eps * spec.jump.l_prefix_sum(n_eps)
             rows.append(TailRow(eps, n_eps, balance))
             balances.append(balance)
         trend_ok = all(b < a for a, b in zip(balances, balances[1:])) and len(balances) >= 2
     else:
-        rows = [TailRow(eps, None, None) for eps in sorted(eps_grid, reverse=True)]
+        rows = [TailRow(eps, None, None) for eps in _EPS_GRID]
         trend_ok = False
     return ExistenceReport(
         constants=constants,
@@ -879,11 +907,19 @@ def spec_to_dict(spec: SystemSpec, meta: dict | None = None) -> dict:
     return out
 
 
-def load_config(path) -> SystemSpec:
-    """Load and validate a JSON config file."""
+def read_config(path) -> dict:
+    """A JSON config file's contents, unvalidated; a missing file or bad JSON
+    raises :class:`ConfigError` naming the file (and the position)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return spec_from_dict(cfg)
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from None
+
+
+def load_config(path) -> SystemSpec:
+    """Load and validate a JSON config file."""
+    return spec_from_dict(read_config(path))

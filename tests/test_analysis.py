@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ def test_prob_probe_case1_exceedance_positive():
     spec = spec_from_dict(build_preset("case1"))
     res = probe_stability_in_probability(spec, 100.0, 1.99, 6000, [1.0], RngPolicy(0))
     assert res.rows[0]["exceedance"] > 0.0
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_prob_probe_takes_the_direction_of_a_huge_or_tiny_start(size):
+    # the norm of the start itself would overflow or underflow
+    def rows(x0):
+        spec = make_spec(drift={"values": [0.5], "dim": 2}, diffusion={"values": [1.0], "dim": 2},
+                         initial={"x0": x0, "y0": 1, "h0": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return probe_stability_in_probability(spec, 2.0, 1.0, 50, [1.0, 0.5], RngPolicy(3)).rows
+
+    reference = rows([1.0, 1.0])
+    assert reference[0]["exceedance"] > 0.0
+    assert rows([size, size]) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from zenosde.cli import (
     build_preset,
     main,
 )
-from zenosde.system import spec_from_dict
+from zenosde.system import ConfigError, load_config, spec_from_dict
 
 
 def read(p):
@@ -108,6 +108,17 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_config_file_errors_read_as_the_library_reports_them(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"drift": }', encoding="utf-8")
+    for path in (bad, tmp_path / "missing.json"):
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert main(["check", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("argv,message", [
     (["probe", "--preset", "intro", "--kind", "blowup", "--kmax", "5,x"], "--kmax"),
     (["probe", "--preset", "case2", "--kind", "supermartingale", "--krange", "1-20"], "--krange"),
@@ -186,6 +197,10 @@ def test_bad_arguments_exit_one_with_message(tmp_path, capsys, argv, message):
      "field 'seed' must be a non-negative integer, got -1"),
     (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--seed", "-1"],
      "field 'seed' must be a non-negative integer, got -1"),
+    (["simulate", "--preset", "case2", "--threads", "-3"],
+     "field 'threads' must be a positive integer, got -3"),
+    (["probe", "--preset", "case2", "--kind", "meansq", "--paths", "5", "--threads", "0"],
+     "field 'threads' must be a positive integer, got 0"),
 ])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o4"
@@ -241,6 +256,8 @@ def test_rerun_manifest_without_config_exits_one(tmp_path, capsys):
     ("dt_max", "x"),
     ("horizon", None),
     ("seed", -1),
+    ("paths", 0),
+    ("threads", -3),
 ])
 def test_rerun_of_a_hand_edited_manifest_names_the_mistyped_field(tmp_path, capsys, field, value):
     out1 = tmp_path / "first"

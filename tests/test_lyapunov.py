@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenosde import lyapunov
 from zenosde.lyapunov import (
     EmptyGrid,
     InvalidSegment,
@@ -496,15 +497,15 @@ def test_nonpositive_or_nonfinite_constants_are_refused(bad):
     case1 = spec_from_dict(build_preset("case1"))
     with pytest.raises(ValueError, match="epsilon"):
         linear_stability_check(case1, epsilon=bad)
-    # a search ignores the given epsilon
-    assert linear_stability_check(case1, epsilon=bad, eps_search=True).epsilon > 0
+    # no epsilon asks for the search
+    assert linear_stability_check(case1, epsilon=None).epsilon > 0
     with pytest.raises(ValueError, match="eps1"):
         probe_stability_in_probability(case1, bad, 1.0, 5, [1.0], RngPolicy(0))
 
 
 def test_stability_eps_search_picks_feasible_epsilon():
     spec = spec_from_dict(build_preset("case2"))
-    rep = linear_stability_check(spec, eps_search=True)
+    rep = linear_stability_check(spec, epsilon=None)
     margins = [r.drift_margin for r in rep.rows]
     assert all(m < -rep.epsilon for m in margins)
     # largest grid value below the feasibility limit 1.045
@@ -527,6 +528,45 @@ def test_stability_time_rescaling_invariance():
             assert r.switching_ok == r0.switching_ok
             assert r.drift_reading_ok == r0.drift_reading_ok
         assert rep.overall_ok == rep0.overall_ok
+
+
+def test_stability_exponent_takes_the_largest_diffusion_magnitude():
+    # b and -b give the same law, so the reports may differ only in the b column
+    reports = []
+    for b in ([0.3, 2.0], [0.3, -2.0], [-0.3, -2.0]):
+        cfg = build_preset("case2")
+        cfg["diffusion"]["values"] = b
+        reports.append(linear_stability_check(spec_from_dict(cfg), epsilon=0.1))
+    assert [rep.b_max for rep in reports] == [2.0, 2.0, 2.0]
+    assert reports[0].beta == pytest.approx(0.025, rel=1e-12)
+
+    def without_b(rep):
+        d = rep.as_dict()
+        d["rows"] = [{k: v for k, v in row.items() if k != "b"} for row in d["rows"]]
+        return d
+
+    assert without_b(reports[1]) == without_b(reports[0])
+    assert without_b(reports[2]) == without_b(reports[0])
+
+
+def test_stability_jump_moments_run_over_the_kept_impulses(monkeypatch):
+    # k_max bounds the schedule, but the gap cut keeps only about a thousand jumps
+    cfg = build_preset("case2")
+    cfg["schedule"].update(k_max=10 ** 5, delta_min=1e-6)
+    spec = spec_from_dict(cfg)
+    last = int(spec.realization().indices.max())
+    assert last < 2000
+    seen = []
+    real = lyapunov.check_jump_moment_condition
+
+    def spy(jump, eta_chain, beta, k_max, x_grid=None):
+        seen.append(k_max)
+        return real(jump, eta_chain, beta, k_max, x_grid)
+
+    monkeypatch.setattr(lyapunov, "check_jump_moment_condition", spy)
+    rep = linear_stability_check(spec, epsilon=0.1)
+    assert seen == [last]
+    assert rep == linear_stability_check(spec, epsilon=0.1, k_max=last)
 
 
 # ---------------------------------------------------------------------------

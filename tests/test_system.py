@@ -15,6 +15,7 @@ from zenosde.system import (
     JumpSchedule,
     NeverReached,
     UnsupportedFamily,
+    _least_k_below,
     check_existence_conditions,
     derive_constants,
     generate_schedule,
@@ -176,12 +177,68 @@ def test_tail_cutoff_nonincreasing_in_eps():
     assert all(b >= a for a, b in zip(cuts, cuts[1:]))
 
 
-def test_tail_cutoff_divergent_and_invalid():
+def _count_gamma_tail(monkeypatch, limit):
+    """Count ``JumpFamily.gamma_tail`` calls, failing past ``limit`` of them."""
+    calls = []
+    real = JumpFamily.gamma_tail
+
+    def counted(self, k):
+        calls.append(k)
+        assert len(calls) <= limit, f"more than {limit} gamma_tail calls"
+        return real(self, k)
+
+    monkeypatch.setattr(JumpFamily, "gamma_tail", counted)
+
+
+@pytest.mark.parametrize("alpha", [1.673, 0.2, 0.01, 1e-3])
+@pytest.mark.parametrize("scale", [1.0, 0.01, -3.0, 250.0])
+@pytest.mark.parametrize("sign,marks", [(-1, (1, 2)), (-1, (0.5, 3.0)), (1, (-1.0, -2.0))])
+def test_tail_cutoff_of_exp_family_matches_the_plain_loop(monkeypatch, alpha, scale, sign, marks):
+    fam = JumpFamily(kind="exp-mark-clamped", alpha=alpha, sign=sign, scale=scale,
+                     mark_values=marks)
+    grid = (1e3, 1.0, 0.1, 3.7e-3, 1e-4, 1e-6)
+    plain = []
+    for eps in grid:
+        k = 1
+        while fam.gamma_tail(k) >= eps:
+            k += 1
+        plain.append(k)
+    _count_gamma_tail(monkeypatch, 6 * len(grid))
+    assert [tail_cutoff_index(fam, eps) for eps in grid] == plain
+
+
+@pytest.mark.parametrize("start", [1, 2, 99, 100, 101, 102, 150, 10 ** 6])
+def test_least_k_below_finds_the_first_crossing_from_any_start(start):
+    # 1/k < 0.01 first at k = 101
+    calls = []
+
+    def tail(k):
+        calls.append(k)
+        return 1.0 / k
+
+    assert _least_k_below(tail, 0.01, start) == 101
+    assert len(calls) <= 2 * math.log2(abs(start - 101) + 2) + 2
+
+
+def test_existence_tail_table_costs_a_few_calls_at_small_alpha(monkeypatch):
+    # the plain loop would make N_eps calls per eps, 2.5 million at eps = 1e-6
+    cfg = build_preset("case2")
+    cfg["jump"]["alpha"] = 1e-5
+    spec = spec_from_dict(cfg)
+    _count_gamma_tail(monkeypatch, 60)
+    rows = check_existence_conditions(spec).tail_rows
+    assert rows[-1].eps == 1e-6 and rows[-1].n_eps == 2532845
+    for eps, n_eps, _ in rows:
+        assert spec.jump.gamma_tail(n_eps) < eps <= spec.jump.gamma_tail(n_eps - 1)
+
+
+def test_tail_cutoff_divergent_and_invalid(monkeypatch):
     poly = JumpFamily(kind="scale-poly")
     with pytest.raises(DivergentTail):
         tail_cutoff_index(poly, 0.1)
-    with pytest.raises(DivergentTail):
-        tail_cutoff_index(lambda m: 1.0 / m, 0.1, max_terms=5000)
+    monkeypatch.setattr("zenosde.system._TAIL_MAX_TERMS", 5000)
+    with pytest.raises(DivergentTail, match="5000 terms"):
+        tail_cutoff_index(lambda m: 1.0 / m, 0.1)
     with pytest.raises(NeverReached):
         tail_cutoff_index(lambda m: 2.0 ** (-m), 0.0)
 

@@ -30,7 +30,8 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   an outer path's continuations across batches.  The cap is set on
   ``lyapunov`` and, in a tree that keeps its own copy, on ``analysis``
 - the CLI's files (manifests without ``created_at``), stdout and exit code
-  for ``simulate``, ``rerun``, ``check`` and every ``probe`` kind
+  for ``simulate``, ``rerun``, ``check`` (with and without ``--eps-search``)
+  and every ``probe`` kind
 
 ``--quick`` keeps one seed.  Floats are hashed by their exact bits; a case
 that raises is hashed by its exception's type and message.
@@ -256,6 +257,8 @@ def cli_cases(z, seeds):
                                          "--krange", "1:5"]),
         ]
     commands += [(f"check/{name}", ["check", "--preset", name])
+                 for name in ("case1", "case2", "case3", "intro")]
+    commands += [(f"check-eps-search/{name}", ["check", "--preset", name, "--eps-search"])
                  for name in ("case1", "case2", "case3", "intro")]
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in commands:
