@@ -485,10 +485,7 @@ def main(argv=None) -> int:
             return _run(resolved, Path(args.out))
 
         if args.command == "rerun":
-            try:
-                manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise ConfigError(f"manifest not found: {args.manifest}")
+            manifest = read_config(Path(args.manifest))
             if not isinstance(manifest, dict):
                 raise ConfigError(f"{args.manifest}: a manifest must be a JSON object")
             # another version's integrator would not reproduce the outputs; a

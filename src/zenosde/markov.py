@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _ROW_SUM_TOL = 1e-12
+# bytes of work arrays a multi-step mark draw holds at once, about
+_DRAW_BYTES = 2 ** 20
 
 
 class NonSquare(ValueError):
@@ -133,20 +135,29 @@ class TransitionMatrix:
             return self.per_step[k - 1]
         return self.p
 
-    def _cdf_tables(self, k: int) -> tuple:
-        """Inverse-CDF tables of the step-``k`` matrix, cached: one
-        :func:`_cdf_table` per row, then the same tables as arrays, namely
-        the rows' cumulative sums, their probabilities with a zero column
-        appended, and each row's last nonzero index."""
+    def _cdf_tables(self, k: int) -> list:
+        """One :func:`_cdf_table` per row of the step-``k`` matrix, cached."""
         key = k if self.per_step and 1 <= k <= len(self.per_step) else 0
         cache = self.__dict__.setdefault("_cdf_cache", {})
         tables = cache.get(key)
         if tables is None:
-            rows = [_cdf_table(row) for row in self.matrix_at(k)]
-            probs = np.zeros((self.n_states, self.n_states + 1))
-            probs[:, :-1] = [row[1] for row in rows]
-            tables = cache[key] = (rows, np.array([row[0] for row in rows]), probs,
-                                   np.array([row[2] for row in rows], dtype=np.int64))
+            tables = cache[key] = [_cdf_table(row) for row in self.matrix_at(k)]
+        return tables
+
+    def _array_tables(self) -> tuple:
+        """The same tables as arrays, stacked over the base matrix then each
+        per-step one, cached: the rows' cumulative sums, and the mark index
+        that each count of sums at or below a uniform draws, which is the
+        row's last nonzero index where that count is a zero-probability
+        entry or past the row's end."""
+        tables = self.__dict__.get("_arrays")
+        if tables is None:
+            steps = [self._cdf_tables(k) for k in range(len(self.per_step) + 1)]
+            cum, probs, last = (np.array([[row[f] for row in step] for step in steps])
+                                for f in range(3))
+            draw = np.where(probs != 0.0, np.arange(self.n_states), last[..., None])
+            tables = (cum, np.concatenate((draw, last[..., None]), axis=2))
+            object.__setattr__(self, "_arrays", tables)
         return tables
 
 
@@ -242,26 +253,48 @@ def sample_ctmc(gen: GeneratorMatrix, y0: int, horizon: float, rng: np.random.Ge
     )
 
 
-def sample_dtmc_step(tm: TransitionMatrix, h, k: int, rng):
+def sample_dtmc_step(tm: TransitionMatrix, h, k, rng):
     """Draw the next mark from row ``h`` of the step-``k`` matrix.
 
-    ``h`` may also be an int array of marks, with ``rng`` an array of as many
-    uniforms in ``[0, 1)``.  Each mark then steps on its own uniform exactly
-    as the scalar form steps on ``rng.random()``: ``bisect_right`` on the same
-    cumulative sums, with :func:`_draw_categorical`'s zero-probability guard.
-    The next marks come back as an int64 array.
+    ``h`` may also be an int array of P marks, with ``k`` an int array of J
+    step indices and ``rng`` a ``(P, J)`` array of uniforms in ``[0, 1)``.
+    Each mark then steps through the J matrices in turn, step ``j`` on its
+    uniform ``rng[p, j]``, exactly as the scalar form steps on
+    ``rng.random()``: ``bisect_right`` on the same cumulative sums, with
+    :func:`_draw_categorical`'s zero-probability guard.  The marks after
+    each step come back as an int64 array of the uniforms' shape; one step
+    is the case J = 1, and a scalar ``k`` with P uniforms is that step.
+    Marks out of range are refused before anything is drawn.
     """
     if isinstance(h, np.ndarray):
         if h.size and not (h.min() >= 1 and h.max() <= tm.n_states):
             raise IndexOutOfRange(f"marks outside 1..{tm.n_states}")
-        _, cum, probs, last_nonzero = tm._cdf_tables(k)
-        rows = h - 1
-        # the count of cumulative sums <= u is bisect_right on a sorted row
-        idx = (cum.take(rows, axis=0) <= rng[:, None]).sum(axis=1)
-        return np.where(probs[rows, idx] == 0.0, last_nonzero[rows], idx) + 1
+        cum, draw = tm._array_tables()
+        ks = np.atleast_1d(k)
+        steps = np.where((ks >= 1) & (ks <= len(tm.per_step)), ks, 0)
+        u = rng.reshape(h.size, ks.size)
+        out = np.empty((ks.size, h.size), dtype=np.int64)
+        n = tm.n_states
+        # marks are held as flat indices into a step's row of next marks,
+        # where path p's n entries start at at[p]
+        at = np.arange(0, h.size * n, n)
+        cur = at + h - 1
+        # steps run in spans whose work arrays, a few of n entries per path
+        # and step, fit _DRAW_BYTES
+        span = max(1, _DRAW_BYTES // (32 * n * h.size))
+        for lo in range(0, ks.size, span):
+            st, us = steps[lo : lo + span], u[:, lo : lo + span].T[..., None]
+            # nxt[j, p, i]: the mark index step lo + j draws from index i on
+            # uniform u[p, lo + j]; the count of sums <= u is bisect_right
+            count = sum(cum[st, None, :, c] <= us for c in range(n))
+            rows = np.arange(st.size * n).reshape(st.size, 1, n) * (n + 1)
+            nxt = (draw[st].take(rows + count) + at[:, None]).reshape(st.size, -1)
+            for j, row in enumerate(nxt, lo):
+                cur = out[j] = row.take(cur)
+        return (out - (at - 1)).T.reshape(np.shape(rng))
     if not 1 <= h <= tm.n_states:
         raise IndexOutOfRange(f"mark {h} outside 1..{tm.n_states}")
-    return _draw_categorical(tm._cdf_tables(k)[0][h - 1], rng.random())
+    return _draw_categorical(tm._cdf_tables(k)[h - 1], rng.random())
 
 
 def _cdf_table(probs: np.ndarray) -> tuple:

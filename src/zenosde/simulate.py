@@ -14,8 +14,10 @@ the (vanishingly rare) case of a degenerate cumulative product.
 :func:`simulate_batch` is the one integration primitive: it runs many paths
 over one window per call, and :func:`simulate_window` is its one-path case.
 It runs the paths in blocks that share one Python loop over the impulses,
-where each jump steps every mark and applies every impulse as arrays, and
-each block through one loop over chunks of one form: a range of whole paths
+where each jump costs only its state recursion as arrays: every mark is
+stepped through all the window's jumps before the loop, and the impulse
+maps come from a table built once per window.  Each block runs through one
+loop over chunks of one form: a range of whole paths
 by a range of steps.  A chunk holds as many whole paths as one byte budget,
 ``_WORK_BYTES``, holds of work arrays, switch times counted; a path that
 alone exceeds it runs by itself in chunks of steps.  A path draws its
@@ -53,8 +55,10 @@ MAX_RESULT_BYTES = 2 ** 30
 _CACHE_BYTES = 2 ** 25
 # below this many paths, deriving each path's streams alone is cheaper
 _BATCH_MIN_PATHS = 4
-# path steps drawn again that cost about one impulse-loop iteration (see _plan)
-_STEPS_PER_JUMP = 700
+# path steps drawn again that cost about one impulse-loop iteration (see _plan):
+# on case2 windows of about 50,000 steps, kept blocks tied redraw blocks at
+# 137-204 kept steps per jump and lost by 13% at 78
+_STEPS_PER_JUMP = 150
 
 # the hash constants of numpy.random.SeedSequence
 _MASK32 = 0xFFFFFFFF
@@ -376,9 +380,7 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     :class:`ConfigInvalid` before any point is built; steps that round short
     near the float spacing can need more, which is refused as they are built.
     """
-    cache = realization.__dict__.get("_boundary_cache")
-    if cache is None:
-        cache = realization.__dict__["_boundary_cache"] = _GridCache()
+    cache = _GridCache.on(realization, "_boundary_cache")
     key = (t0, t1, dt_max)
     hit = cache.get(key)
     if hit is not None:
@@ -406,21 +408,37 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     base = np.concatenate(pts)
     jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
     jump_ks = np.asarray([k for k, _ in jumps], dtype=np.int64)
-    hit = (base, jump_times, jump_ks, np.searchsorted(base, jump_times))
-    size = sum(a.nbytes for a in hit) + _GridCache.ENTRY_BYTES
-    if cache.nbytes + size <= _CACHE_BYTES:
-        cache[key] = hit
-        cache.nbytes += size
-    return hit
+    return cache.keep(key, (base, jump_times, jump_ks, np.searchsorted(base, jump_times)))
 
 
 class _GridCache(dict):
-    """The step grids of one realization by window, and their bytes."""
+    """Arrays by window, cached on the object they derive from, and their bytes."""
 
     # what an entry holds besides its arrays' data: four array headers, the
     # tuples and the key, about
     ENTRY_BYTES = 640
     nbytes = 0
+
+    @classmethod
+    def on(cls, owner, name: str) -> "_GridCache":
+        """The cache ``name`` of ``owner``, made on first use."""
+        return owner.__dict__.setdefault(name, cls())
+
+    def keep(self, key, arrays: tuple) -> tuple:
+        """``arrays``, kept under ``key`` until the cache holds ``_CACHE_BYTES``."""
+        size = sum(a.nbytes for a in arrays if a is not None) + self.ENTRY_BYTES
+        if self.nbytes + size <= _CACHE_BYTES:
+            self[key] = arrays
+            self.nbytes += size
+        return arrays
+
+
+def _impulse_table(spec: SystemSpec, t0: float, t1: float, jump_ks: np.ndarray) -> tuple:
+    """``spec.jump.coefficients(jump_ks)`` for the jumps ``jump_ks`` of the
+    window ``(t0, t1]``, cached on the spec by window."""
+    cache = _GridCache.on(spec, "_impulse_cache")
+    hit = cache.get((t0, t1))
+    return hit if hit is not None else cache.keep((t0, t1), spec.jump.coefficients(jump_ks))
 
 
 def _coeff_tables(spec: SystemSpec):
@@ -761,7 +779,14 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         z = (np.empty if min(ns) == b - a else np.zeros)((len(ns), b - a, dim))
         for i, (p, n) in enumerate(zip(rows[sel].tolist(), ns)):
             if p in chains:
-                regimes[i, :n] = chains[p].state_at(bnd[min(i, len(bnd) - 1), :n] - t0)
+                # a step takes the state of the last switch at or before its
+                # start, so each switch's state runs from the first step that
+                # starts at or after it
+                chain = chains[p]
+                cols = np.searchsorted(bnd[min(i, len(bnd) - 1), :n] - t0,
+                                       chain.switch_times).tolist()
+                for state, lo, hi in zip(chain.states[1:].tolist(), cols, cols[1:] + [n]):
+                    regimes[i, lo:hi] = state
             gens[p].standard_normal(out=z[i, :n])
         dt = bnd[:, 1:] - bnd[:, :-1]
         sq = np.sqrt(dt)
@@ -810,7 +835,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     p_start = np.empty((n_paths, n_jumps + 1, dim))
     p_start[:, 0] = 1.0
     c_start = np.zeros((n_paths, n_jumps + 1, dim)) if additive else None
-    y_pre = np.empty((n_paths, n_jumps), dtype=np.min_scalar_type(spec.n_regimes))
     needs_walk = np.zeros(n_paths, dtype=bool)
     u_mark = np.empty((n_paths, n_jumps))
 
@@ -829,7 +853,6 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         inside = (jj > 0) & (jj <= b - a)
         pp, jc = inside.nonzero()[0], jj[inside]
         p_start[sel, 1:][inside] = prod[pp, jc]
-        y_pre[sel][inside] = regimes[pp, jc - 1]
         if cum is not None:
             c_start[sel, 1:][inside] = cum[pp, jc]
         return m_fac, u_add, prod, cum
@@ -845,6 +868,18 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             (*factors(slice(p, p + 1), 0, int(steps[p]), {p: replayed(p)})[1:], 0)
         walked[p] = (np.zeros((steps[p] + 1, dim)), m_fac[i], None if u_add is None else u_add[i])
 
+    # every path's marks through all the window's jumps, in one draw, and
+    # each path's gain at each jump: by its mark there, where the maps have
+    # one per mark (see JumpFamily.coefficients)
+    h_hist = np.empty((n_paths, n_jumps + 1), dtype=np.int64)
+    h_hist[:, 0] = h
+    h_hist[:, 1:] = sample_dtmc_step(spec.eta_chain, h, jump_ks, u_mark)
+    gain, offset = _impulse_table(spec, t0, t1, jump_ks)
+    if gain is not None:
+        gain = (gain[np.arange(n_jumps), h_hist[:, 1:] - 1] if gain.shape[1] > 1
+                else gain.T)[..., None]
+    phi = spec.jump.phi
+
     # impulses in time order, on every path: a path's draws come from its own
     # streams, so impulses past its stop change nothing it returns, and where
     # each path stops is decided once, after the loop; x_start holds the
@@ -853,23 +888,25 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     x_start[:, 0] = x
     x_pre = np.zeros((n_paths, n_jumps, dim))
     x_post = x_start[:, 1:]
-    h_hist = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
-    h_hist[:, 0] = h
-    x_cur, h_now = x, h
+    x_cur = x
     ratio = p_start[:, 1:] / p_start[:, :-1]
     shift = p_start[:, 1:] * (c_start[:, 1:] - c_start[:, :-1]) if additive else None
-    for s, k in enumerate(jump_ks.tolist()):
+    for s in range(n_jumps):
         xp = ratio[:, s] * x_cur
         if shift is not None:
             xp += shift[:, s]
         for p, (walk, m_row, u_row) in walked.items():
             xp[p] = _walk(walk, m_row, u_row, starts[p, s], jidx[p, s], x_cur[p])
         x_pre[:, s] = xp
-        h_now = h_hist[:, s + 1] = sample_dtmc_step(spec.eta_chain, h_now, k, u_mark[:, s])
-        x_cur = x_post[:, s] = xp + spec.jump.evaluate(k, y_pre[:, s], h_now, xp)
+        g = 0.0 if gain is None else gain[:, s] * phi(xp)
+        if offset is not None:
+            g = g + offset[s]
+        x_cur = x_post[:, s] = xp + g
         # every path has stopped once each coordinate is past the threshold,
-        # since a norm is never below its largest coordinate
+        # since a norm is never below its largest coordinate; the marks of
+        # the jumps left are 0, as no path applies them
         if np.abs(x_cur).min() > OVERFLOW_THRESHOLD:
+            h_hist[:, s + 2 :] = 0
             break
     for p, (walk, m_row, u_row) in walked.items():
         _walk(walk, m_row, u_row, starts[p, -1], steps[p], x_cur[p])

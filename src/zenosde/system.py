@@ -89,6 +89,11 @@ class Report:
         return json_safe(asdict(self))
 
 
+def _pad(coef, ndim: int):
+    """``coef`` with trailing axes of length 1 up to ``ndim`` axes."""
+    return np.reshape(coef, np.shape(coef) + (1,) * (ndim - np.ndim(coef)))
+
+
 def _safe_exp(e: float) -> float:
     """``exp`` saturating to ``inf`` instead of overflowing."""
     return math.inf if e > 709.0 else math.exp(e)
@@ -207,26 +212,61 @@ class JumpFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, k: int, y, h, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, k, y, h, x: np.ndarray) -> np.ndarray:
         """``g(t_k, y, h, x)``.
 
-        ``y`` and ``h`` may also be int arrays with one entry per row of
-        ``x`` (its leading axis).  Each row then gets its own mark's value,
-        bit for bit that of a scalar call on that row alone.
+        ``k``, ``y`` and ``h`` may also be int arrays.  They broadcast
+        together, and their shape against the leading axes of ``x``; each
+        element then gets its own map's value, bit for bit that of a scalar
+        call on it alone.  A scalar ``k`` with one ``y`` and ``h`` per row of
+        ``x`` is one impulse on many paths; an array of ``k`` by one of marks
+        at ``x = 1`` is the gain table of :meth:`coefficients`.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "scale-poly":
-            return self.scale * float(k) ** 2 * x
-        if self.kind == "exp-mark-clamped":
-            # each mark value's coefficient comes from the scalar exp, which
-            # can round differently from an array exp
-            coef = np.array([self.scale * _safe_exp(self.sign * self.alpha * k * hv)
-                             for hv in self.mark_values])[np.asarray(h) - 1]
-            return coef.reshape(coef.shape + (1,) * (x.ndim - coef.ndim)) * np.minimum(x, 1.0)
-        s, o = self._map_at(k)
-        return s * x + o
+            coef = self.scale * np.asarray(k, dtype=float) ** 2
+        elif self.kind == "exp-mark-clamped":
+            # each (k, mark) coefficient comes from the scalar exp, which can
+            # round differently from an array exp
+            ks = np.ravel(k).tolist()
+            table = np.array([[self.scale * _safe_exp(self.sign * self.alpha * kv * hv)
+                               for hv in self.mark_values] for kv in ks])
+            table = table.reshape(len(ks), len(self.mark_values))
+            coef = table[np.arange(len(ks)).reshape(np.shape(k)), np.asarray(h) - 1]
+        else:
+            maps = np.array([self._map_at(kv) for kv in np.ravel(k).tolist()])
+            maps = maps.reshape(np.shape(k) + (2,))
+            return _pad(maps[..., 0], x.ndim) * x + _pad(maps[..., 1], x.ndim)
+        return _pad(coef, x.ndim) * self.phi(x)
+
+    def phi(self, x):
+        """The state part of every map: ``min(x, 1)`` for
+        ``exp-mark-clamped`` and ``x`` otherwise (see :meth:`coefficients`)."""
+        return np.minimum(x, 1.0) if self.kind == "exp-mark-clamped" else x
+
+    def coefficients(self, k) -> tuple:
+        """The maps of the jump indices ``k`` (an int array of J) as a table:
+        ``g = gain[j, h - 1] * phi(x) + offset[j]``, with :meth:`phi`.
+
+        ``gain`` is ``(J, n_marks)`` for ``exp-mark-clamped``, ``(J, 1)``
+        for the families whose maps ignore the mark, and ``None`` for
+        ``zero``; ``offset`` is ``(J,)`` for ``zero`` and
+        ``custom-sequence``, else ``None``.  Each term left out is left out
+        of :meth:`evaluate` too, so applying the table as written gives its
+        bits.  No family reads the regime ``y``, so the table has no axis
+        for it.
+        """
+        k = np.asarray(k, dtype=np.int64)
+        if self.kind == "zero":
+            return None, np.zeros(k.size)
+        if self.kind == "custom-sequence":
+            maps = np.array([self._map_at(kv) for kv in k.tolist()]).reshape(-1, 2)
+            return maps[:, :1], maps[:, 1]
+        n_marks = len(self.mark_values) if self.kind == "exp-mark-clamped" else 1
+        # phi(1) = 1, so g at x = 1 is the gain itself
+        return self.evaluate(k[:, None], 1, np.arange(1, n_marks + 1), 1.0), None
 
     def _map_at(self, k: int):
         if not 1 <= k <= len(self.maps):
@@ -908,13 +948,14 @@ def spec_to_dict(spec: SystemSpec, meta: dict | None = None) -> dict:
 
 
 def read_config(path) -> dict:
-    """A JSON config file's contents, unvalidated; a missing file or bad JSON
-    raises :class:`ConfigError` naming the file (and the position)."""
+    """A JSON file's contents (a config or a manifest), unvalidated; a
+    missing file or bad JSON raises :class:`ConfigError` naming the file
+    (and the position)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from None

@@ -289,6 +289,25 @@ def test_rerun_of_a_manifest_with_an_unused_infinite_number_writes_nothing(tmp_p
     assert not out2.exists()
 
 
+@pytest.mark.parametrize("text,where", [('{"resolved": ', "line 1, column 14"),
+                                        ('{\n  "resolved": {,\n}', "line 2, column 16")])
+def test_rerun_of_a_truncated_manifest_names_the_file_and_the_position(tmp_path, capsys, text,
+                                                                       where):
+    bad = tmp_path / "manifest.json"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["rerun", str(bad), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(bad) in err and where in err
+    assert not out.exists()
+
+
+def test_rerun_of_a_missing_manifest_names_it(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    assert main(["rerun", str(missing), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_rerun_refuses_a_manifest_of_another_version(tmp_path, capsys):
     out1 = tmp_path / "first"
     assert main(["simulate", "--preset", "case2", "--horizon", "0.5", "--out", str(out1)]) == EXIT_OK

@@ -15,6 +15,7 @@ from zenosde.markov import (
     validate_generator,
     validate_transition_matrix,
 )
+from zenosde import markov
 from zenosde.markov import ChainPath, _draw_categorical
 
 SYM2 = [[-1.0, 1.0], [1.0, -1.0]]
@@ -265,6 +266,70 @@ def test_dtmc_step_of_an_array_of_marks_matches_scalar_draws():
         assert got.tolist() == [sample_dtmc_step(tm, r, k, draws) for r in rows]
         # no mark lands on a zero-probability entry
         assert (tm.matrix_at(k)[np.array(rows) - 1, got - 1] > 0.0).all()
+
+
+def _three_mark_steps():
+    """Three marks with distinct rows, zero entries first, inside and last,
+    and rows whose cumulative sums end below 1; steps 1 and 2 have their own
+    matrices."""
+    return validate_transition_matrix(
+        [[0.2, 0.0, 0.8], [0.1, 0.9 - 1e-13, 0.0], [1 / 3, 1 / 3, 1 / 3]],
+        per_step=[[[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.1, 0.2, 0.7 - 1e-13]],
+                  [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]]],
+    )
+
+
+@pytest.mark.parametrize("budget", [None, 200])
+def test_dtmc_steps_of_an_array_of_marks_match_scalar_steps_one_by_one(monkeypatch, budget):
+    # each row's marks step through every jump from its own last mark, on
+    # its own uniforms; a small budget runs the steps in spans
+    if budget is not None:
+        monkeypatch.setattr(markov, "_DRAW_BYTES", budget)
+    tm = _three_mark_steps()
+    rng = np.random.default_rng(5)
+    ks = np.array([1, 2, 3, 1, 9, 2, 2, 4] + rng.integers(1, 5, 57).tolist())
+    h = np.tile(np.array([1, 2, 3], dtype=np.int64), 12)
+    u = rng.random((h.size, ks.size))
+    # the edges of every row's cumulative sums, and the floats below them
+    edges = np.unique(np.concatenate([np.cumsum(tm.matrix_at(k), axis=1).ravel() for k in (1, 2, 3)]))
+    edges = np.concatenate((edges, np.nextafter(edges, 0.0), [0.0, 1.0 - 2.0 ** -53]))
+    u[: h.size // 2] = rng.choice(edges[edges < 1.0], size=(h.size // 2, ks.size))
+    got = sample_dtmc_step(tm, h, ks, u)
+    assert got.dtype == np.int64 and got.shape == u.shape
+    for p in range(h.size):
+        draws, mark = _Uniforms(u[p].tolist()), int(h[p])
+        for j, k in enumerate(ks.tolist()):
+            nxt = sample_dtmc_step(tm, mark, k, draws)
+            assert got[p, j] == nxt, (p, j)
+            # no mark lands on a zero-probability entry
+            assert tm.matrix_at(k)[mark - 1, nxt - 1] > 0.0
+            mark = nxt
+    # one step is the case of one jump
+    one = sample_dtmc_step(tm, h, 2, u[:, 0])
+    assert one.shape == h.shape and one.tolist() == sample_dtmc_step(tm, h, [2], u[:, :1])[:, 0].tolist()
+    assert sample_dtmc_step(tm, h, np.empty(0, dtype=np.int64), u[:, :0]).shape == (h.size, 0)
+
+
+def test_dtmc_steps_follow_each_rows_own_mark():
+    # rows that differ by mark: stepping every jump from the start mark
+    # instead of the last one gives other marks
+    tm = validate_transition_matrix([[0.9, 0.1], [0.2, 0.8]])
+    u = np.full((1, 4), 0.5)
+    assert sample_dtmc_step(tm, np.array([2]), np.arange(1, 5), u).tolist() == [[2, 2, 2, 2]]
+    u[0, 0] = 0.1
+    assert sample_dtmc_step(tm, np.array([2]), np.arange(1, 5), u).tolist() == [[1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("h", [0, 4])
+def test_dtmc_step_refuses_a_bad_start_mark_before_drawing(h):
+    tm = _three_mark_steps()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(IndexOutOfRange):
+        sample_dtmc_step(tm, h, 1, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(IndexOutOfRange):
+        sample_dtmc_step(tm, np.array([1, h]), np.array([1, 2]), np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("h", [[1, 0], [2, 3], [-1]])

@@ -699,6 +699,70 @@ def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monk
             assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (name, j)
 
 
+def _jump_family_preset(name):
+    """case2 with mark rows that differ, under each jump family; three marks
+    with per-step matrices that hold zeros; and case3, whose paths all pass
+    the threshold before the window ends."""
+    if name == "case3":
+        return build_preset("case3")
+    cfg = build_preset("case2")
+    cfg["eta_transition"] = {"p": [[0.9, 0.1], [0.2, 0.8]]}
+    if name == "three-marks":
+        cfg["eta_transition"] = {
+            "p": [[0.2, 0.0, 0.8], [0.1, 0.6, 0.3], [0.5, 0.5, 0.0]],
+            "per_step": [[[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.1, 0.2, 0.7]]] * 150}
+    elif name == "scale-poly":
+        cfg["jump"] = {"kind": "scale-poly", "scale": 1e-6}
+    elif name == "custom-sequence":
+        cfg["jump"] = {"kind": "custom-sequence",
+                       "maps": [[-0.3 - 1e-3 * k, 0.05 * (-1) ** k] for k in range(1, 201)]}
+    elif name == "zero":
+        cfg["jump"] = {"kind": "zero"}
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["exp-mark-clamped", "three-marks", "scale-poly",
+                                  "custom-sequence", "zero", "case3"])
+def test_batch_rows_lone_paths_and_a_loop_of_one_step_per_jump_agree(name):
+    # a window with all 200 jumps: each row of a batch is the lone path,
+    # and its marks and impulses are those of a loop that steps its mark
+    # from the last one and applies the map, one jump at a time
+    spec = spec_from_dict(_jump_family_preset(name))
+    cfg = IntegratorConfig(dt_max=1e-2)
+    t0, t1 = 0.5, 2.0
+    n_marks = spec.eta_chain.n_states
+    y = [1 + p % 2 for p in range(9)]
+    h = [1 + p % n_marks for p in range(9)]
+    pol = RngPolicy(4)
+    res = simulate_batch(spec, cfg, t0, t1, spec.x0, y, h, [pol.path_streams(p) for p in range(9)])
+    n_jumps = res.jump_ks.size
+    assert n_jumps == 200
+    # marks count from 1, so a 0 is a jump past the end of the impulse loop
+    stop = int(np.argmin(np.append(res.marks[0] > 0, False)))
+    assert (res.marks[:, :stop] > 0).all() and (res.marks[:, stop:] == 0).all()
+    assert stop >= res.n_jumps.max()
+    if name == "case3":
+        assert stop < n_jumps and res.exploded.all()
+    else:
+        assert stop == n_jumps and not res.exploded.any()
+    for p in range(9):
+        lone = simulate_batch(spec, cfg, t0, t1, spec.x0, y[p], h[p], [pol.path_streams(p)])
+        n = int(res.n_jumps[p])
+        assert lone.n_jumps[0] == n
+        for field in ("x_end", "h_end", "exploded", "sup_norm"):
+            assert getattr(lone, field)[0].tobytes() == getattr(res, field)[p].tobytes(), field
+        for field in ("marks", "x_before", "x_after"):
+            assert getattr(lone, field)[0, :n].tobytes() == getattr(res, field)[p, :n].tobytes()
+        draws, mark = pol.path_streams(p).mark, h[p]
+        for s, k in enumerate(res.jump_ks[:stop].tolist()):
+            mark = sample_dtmc_step(spec.eta_chain, mark, k, draws)
+            assert res.marks[p, s] == mark, (p, s)
+            before = res.x_before[p, s]
+            with np.errstate(all="ignore"):
+                after = before + spec.jump.evaluate(k, y[p], mark, before)
+            assert after.tobytes() == res.x_after[p, s].tobytes(), (p, s)
+
+
 def test_batch_results_do_not_depend_on_what_the_heap_held():
     # every case3 path passes the threshold before the horizon, so the
     # impulse loop stops before the window's last jumps
@@ -839,9 +903,11 @@ def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
     # path in chunks of 8,192 steps: their 250,540 steps redrawn would cost
     # more than 200 more loop iterations
     assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 5
-    # with 1,000 jumps 4 kept paths are too few: blocks are as many paths as
-    # the budget holds of their per-jump state, and the rest draw again
-    assert simulate._plan(50_000, 1000, 1, False) == simulate._WORK_BYTES // (1001 * 72)
+    # with 1,000 jumps 4 kept paths hold 200 steps per jump, enough; with
+    # 2,000 jumps 3 are too few: blocks are as many paths as the budget
+    # holds of their per-jump state, and the rest draw again
+    assert simulate._plan(50_000, 1000, 1, False) == 4
+    assert simulate._plan(50_000, 2000, 1, False) == simulate._WORK_BYTES // (2001 * 72) == 7
     # one path's products past twice the budget: its normals are drawn again
     assert simulate._plan(300_000, 0, 1, False) == simulate._WORK_BYTES // 72
 

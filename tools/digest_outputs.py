@@ -13,7 +13,9 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   (additive) system, a two-dimensional one, case2 with a fast regime
   chain (rates 20, so most windows switch many times) and case2 with a
   stiff regime (drift -400, whose paths on the long windows are walked
-  step by step), over four windows, with
+  step by step), and case2 with mark rows that differ, with three marks
+  and per-step matrices that hold zeros, and with the ``custom-sequence``
+  and ``zero`` jump families, over four windows, with
   ``path_streams`` and ``aux_streams_batch`` bundles, under five work
   budgets: 7 paths under the default, one chunk of all paths, chunks kept,
   and normals drawn again; and 60 paths under a budget whose blocks run in
@@ -21,7 +23,8 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   products of only their first groups.  Every result field, each path's
   jump records up to the jumps it applied, and each live path's generator
   states after the window
-- ``simulate_ensemble`` and ``simulate_path`` on the four presets
+- ``simulate_ensemble`` and ``simulate_path`` on the four presets and the
+  four mark and jump variants
 - the mean-square, probability and blow-up probes, and the segment bound
 - the supermartingale probe and the discrete Lyapunov operator
 - the nested estimators again (the segment bound, the operator, and the
@@ -59,6 +62,17 @@ BUDGETS = (("default", None, 7), ("one-chunk", 2 ** 30, 7), ("kept", 300 * 128, 
            ("drawn-again", 2 ** 12, 7), ("groups", 3 * 2 ** 18, 60))
 # rows per batch of the nested Monte Carlo estimators in the small-cap cases
 SMALL_CAP = 7
+# case2 with another jump family or mark chain: name, jump, eta_transition
+MARK_AND_JUMP_VARIANTS = (
+    ("marks-distinct", None, {"p": [[0.9, 0.1], [0.2, 0.8]]}),
+    ("marks-three", None, {"p": [[0.2, 0.0, 0.8], [0.1, 0.6, 0.3], [0.5, 0.5, 0.0]],
+                           "per_step": [[[0.0, 0.3, 0.7], [0.5, 0.0, 0.5], [0.1, 0.2, 0.7]],
+                                        [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.4, 0.0]]] * 40}),
+    ("jump-custom", {"kind": "custom-sequence",
+                     "maps": [[-0.3 - 1e-3 * k, 0.05 * (-1) ** k] for k in range(1, 241)]},
+     {"p": [[0.9, 0.1], [0.2, 0.8]]}),
+    ("jump-zero", {"kind": "zero"}, None),
+)
 
 
 def canon(value, out: list) -> None:
@@ -124,6 +138,13 @@ def specs(z) -> dict:
     stiff = build("case2")
     stiff["drift"]["values"] = [-400.0, 0.5]
     out["stiff"] = z.system.spec_from_dict(stiff)
+    # the presets' mark rows are all alike (or there is one mark), so these
+    # show a mark drawn from the wrong row, and the jump families they lack
+    for name, jump, eta in MARK_AND_JUMP_VARIANTS:
+        cfg = build("case2")
+        cfg["jump"] = jump or cfg["jump"]
+        cfg["eta_transition"] = eta or cfg["eta_transition"]
+        out[name] = z.system.spec_from_dict(cfg)
     return out
 
 
@@ -181,6 +202,13 @@ def model_cases(z, all_specs, seeds):
                    outcome(simulate.simulate_ensemble, spec, cfg, horizon, 60, policy))
             yield (f"path/{name}/{seed}",
                    outcome(simulate.simulate_path, spec, cfg, horizon, 3, policy,
+                           record_times=np.array([0.5, 1.0, 2.5])))
+        for name, _, _ in MARK_AND_JUMP_VARIANTS:
+            spec = all_specs[name]
+            yield (f"ensemble/{name}/{seed}",
+                   outcome(simulate.simulate_ensemble, spec, cfg, 5.0, 60, policy))
+            yield (f"path/{name}/{seed}",
+                   outcome(simulate.simulate_path, spec, cfg, 5.0, 3, policy,
                            record_times=np.array([0.5, 1.0, 2.5])))
         yield (f"meansq/case2/{seed}", outcome(analysis.probe_mean_square, all_specs["case2"],
                                                (0.5, 1.0, 2.0, 3.0, 5.0), 200, policy))
