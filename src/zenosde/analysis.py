@@ -21,6 +21,7 @@ from .simulate import (
     ConfigInvalid,
     IntegratorConfig,
     RngPolicy,
+    _sample_count,
     simulate_batch,
     simulate_ensemble,
 )
@@ -77,8 +78,7 @@ def verify_segment_moment_bound(
     ``MAX_RESULT_BYTES`` of sups raises :class:`ConfigInvalid` up front.
     """
     cfg = cfg or IntegratorConfig()
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _sample_count(n_paths, "n_paths")
     if 8 * n_paths > MAX_RESULT_BYTES:
         raise ConfigInvalid(f"{n_paths} paths need {8 * n_paths} bytes of sups, "
                             f"more than {MAX_RESULT_BYTES}")
@@ -268,12 +268,13 @@ def probe_supermartingale(
     ks = sorted(int(k) for k in k_range)
     if not ks:
         raise ValueError("k_range must be nonempty")
-    if n_inner < 1:
-        raise ValueError("n_inner must be >= 1")
-    entries = dict(spec.realization().entries)
+    n_outer = _sample_count(n_outer, "n_outer")
+    n_inner = _sample_count(n_inner, "n_inner")
+    realization = spec.realization()
+    t = realization.t
     needed = ks + [ks[-1] + 1]
     for k in needed:
-        if k not in entries:
+        if not 1 <= k <= t.size:
             raise ValueError(f"skeleton index {k} is not realized")
     for k in ks:
         _segment_times(spec, k)  # refuses a segment that does not end after it starts
@@ -290,10 +291,13 @@ def probe_supermartingale(
     y = np.full(n_outer, spec.y0)
     h = np.full(n_outer, spec.h0)
     alive = np.ones(n_outer, dtype=bool)
-    last = max(entries[k] for k in ks)
+    # the sweep stops at the skeleton points of ``needed`` up to the last segment start
+    sweep_ks, sweep = realization.jumps_in(-math.inf, t[np.subtract(ks, 1)].max())
+    stops = set(needed)
+    on = [k in stops for k in sweep_ks.tolist()]
     rows = [None] * len(ks)
     t_prev = 0.0
-    for t_lo in sorted(t for t in {entries[k] for k in needed} if t <= last):
+    for k_lo, t_lo in zip(sweep_ks[on].tolist(), sweep[on].tolist()):
         idx = np.flatnonzero(alive)
         if idx.size:
             res = simulate_batch(spec, cfg, t_prev, t_lo, x[idx], y[idx], h[idx],
@@ -302,8 +306,8 @@ def probe_supermartingale(
             alive[idx] = ~res.exploded
             idx = np.flatnonzero(alive)
         t_prev = t_lo
-        for p, k in [(p, k) for p, k in enumerate(ks) if entries[k] == t_lo]:
-            t_hi = entries[k + 1]
+        for p, k in [(p, k) for p, k in enumerate(ks) if k == k_lo]:
+            t_hi = float(t[k])
             # row q * n_inner + j continues outer path idx[q] on the key (k, idx[q], j)
             inner = np.empty(idx.size * n_inner)
             for batch, res in _continuations(spec, cfg, t_lo, t_hi, x[idx], y[idx], h[idx], policy,

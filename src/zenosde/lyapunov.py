@@ -21,13 +21,13 @@ drift-coefficient reading, requiring both to pass.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .simulate import MAX_RESULT_BYTES, ConfigInvalid, IntegratorConfig, RngPolicy, simulate_batch
+from .simulate import (MAX_RESULT_BYTES, ConfigInvalid, IntegratorConfig, RngPolicy,
+                       _sample_count, simulate_batch)
 from .simulate import simulate_window  # not called here; bench/tracing.py wraps this name
 from .system import JumpFamily, Report, SystemSpec
 
@@ -187,7 +187,7 @@ def discrete_lyapunov_operator(
     raises :class:`ConfigInvalid` before anything runs.
     """
     cfg = cfg or IntegratorConfig()
-    mc = _sample_count(mc)
+    mc = _sample_count(mc, "mc")
     if 8 * mc > MAX_RESULT_BYTES:
         raise ConfigInvalid(f"mc = {mc} needs {8 * mc} bytes, more than {MAX_RESULT_BYTES}")
     y, h, x = state
@@ -241,18 +241,6 @@ def _values(v: LyapunovSpec, t: float, ys: list, hs: list, xs: np.ndarray) -> li
     return [float(v.value(t, y, h, x)) for y, h, x in zip(ys, hs, xs)]
 
 
-def _sample_count(mc) -> int:
-    """``mc`` as an ``int``, refused unless it is an integer of at least 1
-    (a float such as ``1e4`` is refused too)."""
-    try:
-        mc = operator.index(mc)
-    except TypeError:
-        raise ValueError(f"mc must be an integer, got {mc!r}") from None
-    if mc < 1:
-        raise ValueError(f"mc must be >= 1, got {mc}")
-    return mc
-
-
 def _state(spec: SystemSpec, x) -> np.ndarray:
     """``x`` as a float vector, refused unless it is one of ``spec.dim`` entries."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -263,10 +251,10 @@ def _state(spec: SystemSpec, x) -> np.ndarray:
 
 
 def _segment_times(spec: SystemSpec, k: int) -> tuple:
-    entries = dict(spec.realization().entries)
-    if k not in entries or (k + 1) not in entries:
+    t = spec.realization().t
+    if not (1 <= k < t.size and k == int(k)):
         raise InvalidSegment(f"segment [t_{k}, t_{k + 1}] is not realized")
-    t_lo, t_hi = entries[k], entries[k + 1]
+    t_lo, t_hi = t[int(k) - 1 : int(k) + 1].tolist()
     if not t_lo < t_hi:
         raise InvalidSegment(f"segment [t_{k}, t_{k + 1}] is empty")
     return t_lo, t_hi
@@ -332,10 +320,8 @@ def wio_evaluate(
 
 
 def _jump_index_at(spec: SystemSpec, t: float) -> int | None:
-    for k, tau in spec.realization().entries:
-        if tau == t:
-            return k
-    return None
+    hit = np.flatnonzero(spec.realization().t == t)
+    return int(hit[0]) + 1 if hit.size else None
 
 
 def wio_finite_difference(
@@ -388,11 +374,12 @@ def wio_finite_difference_battery(
     values overwritten at their destination regime.  So a custom ``fn_value``
     is also called at ``y`` on samples that then switch.
     """
-    mc = _sample_count(mc)
+    mc = _sample_count(mc, "mc")
     x = _state(spec, x)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if any(t <= tau <= t + dt for _, tau in spec.realization().entries):
+    times = spec.realization().t
+    if ((t <= times) & (times <= t + dt)).any():
         raise ValueError(f"a scheduled jump lies in [t, t + dt] = [{t}, {t + dt}]")
     policy = policy or RngPolicy()
     rng = policy.aux_streams(_AUX_WIO, key).wiener
@@ -567,7 +554,7 @@ def linear_stability_check(
             drift_reading_ok=bool(a_vals[i - 1] < rhs),
         ))
 
-    k_hi = k_max if k_max is not None else int(spec.realization().indices.max(initial=0))
+    k_hi = k_max if k_max is not None else spec.realization().t.size
     jm = check_jump_moment_condition(spec.jump, spec.eta_chain, beta, k_hi, x_grid)
 
     overall = (

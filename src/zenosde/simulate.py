@@ -71,6 +71,18 @@ class ConfigInvalid(ValueError):
     """Integrator configuration failed validation."""
 
 
+def _sample_count(n, name: str) -> int:
+    """``n`` as an ``int``, refused unless it is an integer of at least 1
+    (a float such as ``1e4`` is refused too); ``name`` names it."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigInvalid(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ConfigInvalid(f"{name} must be >= 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step-size policy and the stride of a collected path's samples.
@@ -385,16 +397,16 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    jumps = realization.jumps_in(t0, t1)
+    jump_ks, jump_times = realization.jumps_in(t0, t1)
     # ``t + dt_max`` rounds back to ``t`` for some ``t`` in the window when
     # the step is at most half the float spacing at the window's largest |t|
     if 2.0 * dt_max <= np.spacing(max(abs(t0), abs(t1))):
         raise ConfigInvalid(f"dt_max {dt_max!r} is too small to advance time on the window "
                             f"[{t0!r}, {t1!r}]")
-    if (t1 - t0) / dt_max + len(jumps) > MAX_BOUNDARIES:
+    if (t1 - t0) / dt_max + jump_times.size > MAX_BOUNDARIES:
         raise ConfigInvalid(f"dt_max {dt_max!r} needs more than {MAX_BOUNDARIES} step "
                             f"boundaries on the window [{t0!r}, {t1!r}]")
-    ends = [tau for _, tau in jumps]
+    ends = jump_times.tolist()
     if (ends[-1] if ends else t0) < t1:
         ends.append(t1)
     # the segments' interior points share what the ends leave of the limit
@@ -406,8 +418,6 @@ def _base_boundaries(realization, t0: float, t1: float, dt_max: float):
         room -= pts[-2].size
         cur = end
     base = np.concatenate(pts)
-    jump_times = np.asarray([tau for _, tau in jumps], dtype=float)
-    jump_ks = np.asarray([k for k, _ in jumps], dtype=np.int64)
     return cache.keep(key, (base, jump_times, jump_ks, np.searchsorted(base, jump_times)))
 
 
@@ -1176,8 +1186,7 @@ def simulate_ensemble(
     call.  More than ``MAX_RESULT_BYTES`` of per-path results raises
     :class:`ConfigInvalid` before anything is allocated.
     """
-    if n_paths < 1:
-        raise ConfigInvalid("n_paths must be >= 1")
+    n_paths = _sample_count(n_paths, "n_paths")
     if not 0.0 < horizon < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
     if record_times is None:

@@ -131,9 +131,6 @@ class CoefficientFamily:
     def n_regimes(self) -> int:
         return len(self.values)
 
-    def rate(self, y: int) -> float:
-        return self.values[y - 1]
-
     def evaluate(self, t: float, y: int, x: np.ndarray) -> np.ndarray:
         if self.kind == "linear-per-regime":
             return self.values[y - 1] * x
@@ -445,29 +442,31 @@ class JumpSchedule:
         return self.alpha / ks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleRealization:
-    """Truncated, time-ordered jump schedule with truncation metadata."""
+    """A truncated schedule: ``t[k - 1]`` is the time of jump ``k``, for
+    ``k = 1..N``, and ``n_truncated`` counts the jumps cut off.
 
-    entries: tuple          # ((k, t_k), ...) ascending in time
+    Truncation keeps a prefix of the indices, so ``t`` holds every kept
+    jump by its index.  The times need not increase with ``k``;
+    :meth:`jumps_in` gives a window's jumps in time order.
+    """
+
+    t: np.ndarray
     n_truncated: int
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray([t for _, t in self.entries], dtype=float)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.asarray([k for k, _ in self.entries], dtype=np.int64)
-
-    def jumps_in(self, t0: float, t1: float):
-        """Entries with ``t0 < t_k <= t1``."""
-        return [(k, t) for k, t in self.entries if t0 < t <= t1]
+    def jumps_in(self, t0: float, t1: float) -> tuple:
+        """The jumps with ``t0 < t_k <= t1``, in time order, as the arrays
+        ``(ks, times)``."""
+        j = np.flatnonzero((t0 < self.t) & (self.t <= t1))
+        j = j[np.argsort(self.t[j])]
+        return j + 1, self.t[j]
 
 
 @lru_cache(maxsize=64)
 def realize_schedule(schedule: JumpSchedule) -> ScheduleRealization:
-    """Realize a schedule, cached: sort ascending, truncate, validate monotonicity.
+    """Realize a schedule, cached: truncate, then check that the kept times
+    are distinct.
 
     A jump is dropped when its index exceeds ``k_max`` (only possible for
     explicit lists) or when its gap to the last kept jump is below
@@ -478,34 +477,26 @@ def realize_schedule(schedule: JumpSchedule) -> ScheduleRealization:
     # the first too-small gap cuts the whole remaining tail so the realized
     # index sequence stays contiguous from k = 1
     if schedule.kind == "explicit-list":
-        by_index = list(enumerate(schedule.times, start=1))
-        total = len(by_index)
-        cutoff = schedule.k_max
-        for (k0, t0), (k1, t1) in zip(by_index, by_index[1:]):
-            if abs(t1 - t0) < schedule.delta_min:
-                cutoff = min(cutoff, k0)
-                break
-        kept = [(k, t) for k, t in by_index if k <= cutoff]
+        t = np.asarray(schedule.times, dtype=float)
+        total = t.size
+        gap = np.flatnonzero(np.abs(np.diff(t)) < schedule.delta_min)
+        t = t[:min(schedule.k_max, int(gap[0]) + 1 if gap.size else total)]
     else:
         total = schedule.k_max
-        ks = np.arange(1, _harmonic_cutoff(schedule) + 1)
-        kept = list(zip(ks.tolist(), schedule.harmonic_times(ks).tolist()))
-    kept.sort(key=lambda e: e[1])
-    dropped = total - len(kept)
-    times = [t for _, t in kept]
-    if any(b <= a for a, b in zip(times, times[1:])):
+        t = schedule.harmonic_times(np.arange(1, _harmonic_cutoff(schedule) + 1))
+    in_time = np.sort(t)
+    if (in_time[1:] <= in_time[:-1]).any():
         raise ConfigError("schedule times must be strictly increasing")
-    star = schedule.concentration_point
-    if schedule.kind == "harmonic-to-point" and times:
-        if times[-1] >= star:
-            raise ConfigError("accumulating schedule must stay below its concentration point")
-    return ScheduleRealization(entries=tuple(kept), n_truncated=dropped)
+    if schedule.kind == "harmonic-to-point" and in_time.size and in_time[-1] >= schedule.t_star:
+        raise ConfigError("accumulating schedule must stay below its concentration point")
+    t.setflags(write=False)
+    return ScheduleRealization(t=t, n_truncated=total - t.size)
 
 
 def generate_schedule(schedule: JumpSchedule) -> ScheduleRealization:
     """:func:`realize_schedule`, raising :class:`EmptySchedule` when nothing survives."""
     real = realize_schedule(schedule)
-    if not real.entries:
+    if not real.t.size:
         raise EmptySchedule("schedule truncation removed every jump")
     return real
 
@@ -602,15 +593,12 @@ class DerivedConstants:
     """Closed-form constants, squared convention.
 
     ``c_growth`` bounds ``|a|^2+|b|^2+|g|^2 <= c_growth (1+|x|^2)``;
-    ``l_coeff`` is the squared Lipschitz constant of the coefficients;
-    ``l_seq``/``gamma_seq`` are per-impulse constants for the realized
-    schedule indices; the totals include the full (possibly infinite) tails.
+    ``l_coeff`` is the squared Lipschitz constant of the coefficients; the
+    impulse totals include the full (possibly infinite) tails.
     """
 
     c_growth: float
     l_coeff: float
-    l_seq: np.ndarray
-    gamma_seq: np.ndarray
     sum_l: float
     sum_gamma: float
 
@@ -618,22 +606,20 @@ class DerivedConstants:
 def derive_constants(spec: SystemSpec) -> DerivedConstants:
     """Closed-form growth/Lipschitz constants for a declarative spec.
 
-    Raises :class:`UnsupportedFamily` for a custom jump sequence without
-    user-supplied constants.
+    Raises :class:`UnsupportedFamily` for a custom jump sequence whose
+    user-supplied constants are missing or end before the last realized jump.
     """
     jump = spec.jump
-    realization = spec.realization()
-    ks = realization.indices
-    l_seq = np.asarray([jump.lipschitz_sq(int(k)) for k in ks], dtype=float)
-    gamma_seq = np.asarray([jump.sup_norm(int(k)) for k in ks], dtype=float)
+    n = spec.realization().t.size
+    if jump.kind == "custom-sequence" and n:
+        # the first index past each sequence's end, if it is realized, is refused
+        jump.lipschitz_sq(min(n, len(jump.l_seq or ()) + 1))
+        jump.sup_norm(min(n, len(jump.gamma_seq or ()) + 1))
     lin_sq = spec.drift.max_linear_sq() + spec.diffusion.max_linear_sq()
     const_sq = spec.drift.max_constant_sq() + spec.diffusion.max_constant_sq()
-    c_growth = lin_sq + const_sq + jump.sup_gamma_sq()
     return DerivedConstants(
-        c_growth=c_growth,
+        c_growth=lin_sq + const_sq + jump.sup_gamma_sq(),
         l_coeff=lin_sq,
-        l_seq=l_seq,
-        gamma_seq=gamma_seq,
         sum_l=jump.l_total(),
         sum_gamma=jump.gamma_total(),
     )
@@ -764,13 +750,10 @@ class ExistenceReport(Report):
         )
 
     def as_dict(self) -> dict:
-        # the constants are written flat and without their per-impulse arrays
+        # the constants are written flat, after the verdicts
         d = asdict(self)
         c = d.pop("constants")
-        return json_safe({
-            **d, "all_ok": self.all_ok,
-            **{name: c[name] for name in ("c_growth", "l_coeff", "sum_l", "sum_gamma")},
-        })
+        return json_safe({**d, "all_ok": self.all_ok, **c})
 
 
 # the tail balance table's thresholds, largest first

@@ -14,8 +14,14 @@ from zenosde.analysis import (
     probe_supermartingale,
     verify_segment_moment_bound,
 )
-from zenosde.lyapunov import LyapunovSpec
-from zenosde.simulate import IntegratorConfig, RngPolicy, simulate_window
+from zenosde.lyapunov import LyapunovSpec, discrete_lyapunov_operator, wio_finite_difference
+from zenosde.simulate import (
+    ConfigInvalid,
+    IntegratorConfig,
+    RngPolicy,
+    simulate_ensemble,
+    simulate_window,
+)
 from zenosde.system import spec_from_dict
 from zenosde.cli import build_preset
 
@@ -80,6 +86,39 @@ def test_bound_refuses_fewer_than_one_path(n_paths):
         verify_segment_moment_bound(spec, 1, n_paths, RngPolicy(0))
 
 
+X2 = LyapunovSpec(kind="quadratic", coeff=1.0)
+
+# every sample count of the ensembles, probes and estimators: its name and a
+# call on case2 that passes it
+SAMPLE_COUNTS = {
+    "ensemble": ("n_paths", lambda spec, n: simulate_ensemble(spec, IntegratorConfig(), 1.0, n,
+                                                              RngPolicy(0))),
+    "bound": ("n_paths", lambda spec, n: verify_segment_moment_bound(spec, 1, n, RngPolicy(0))),
+    "meansq": ("n_paths", lambda spec, n: probe_mean_square(spec, (0.5, 1.0), n, RngPolicy(0))),
+    "prob": ("n_paths", lambda spec, n: probe_stability_in_probability(spec, 5.0, 1.0, n, [1.0],
+                                                                       RngPolicy(0))),
+    "supermartingale-outer": ("n_outer", lambda spec, n: probe_supermartingale(
+        spec, X2, [1], n, 2, RngPolicy(0))),
+    "supermartingale-inner": ("n_inner", lambda spec, n: probe_supermartingale(
+        spec, X2, [1], 2, n, RngPolicy(0))),
+    "operator": ("mc", lambda spec, n: discrete_lyapunov_operator(
+        spec, X2, (1, 1, np.array([1.0])), 1, n, RngPolicy(0))),
+    "wio": ("mc", lambda spec, n: wio_finite_difference(spec, X2, 0.3, 1, 1, [1.5], mc=n,
+                                                        policy=RngPolicy(0))),
+}
+
+
+@pytest.mark.parametrize("n,rule", [(0, "must be >= 1, got 0"), (-2, "must be >= 1, got -2"),
+                                    (2.5, "must be an integer, got 2.5")],
+                         ids=["zero", "negative", "float"])
+@pytest.mark.parametrize("case", sorted(SAMPLE_COUNTS))
+def test_every_sample_count_is_refused_by_one_rule(case, n, rule):
+    name, call = SAMPLE_COUNTS[case]
+    spec = spec_from_dict(build_preset("case2"))
+    with pytest.raises(ConfigInvalid, match=f"^{name} {rule}$"):
+        call(spec, n)
+
+
 def _bound_spec(drift, x0, h0=1):
     cfg = build_preset("case2")
     cfg["drift"] = {"kind": "linear-per-regime", "values": drift, "dim": len(x0)}
@@ -107,11 +146,11 @@ def test_bound_batches_match_one_path_at_a_time(case, cap, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(lyapunov, "_INNER_BUNDLES", cap)
     spec, policy, k, n = BOUND_CASES[case](), RngPolicy(17), 2, 11
-    entries = dict(spec.realization().entries)
+    t = spec.realization().t.tolist()
     sups = np.empty(n)
     exploded = 0
     for i in range(n):
-        res = simulate_window(spec, IntegratorConfig(), entries[k], entries[k + 1], spec.x0,
+        res = simulate_window(spec, IntegratorConfig(), t[k - 1], t[k], spec.x0,
                               spec.y0, spec.h0, policy.aux_streams(_AUX_OUTER, k, i))
         sups[i] = res.sup_norm ** 2
         exploded += res.exploded
@@ -236,8 +275,8 @@ def test_supermartingale_case2_short_range():
 def _supermartingale_rows_one_path_at_a_time(spec, v, ks, n_outer, n_inner, policy):
     """The probe's rows from a plain loop: one ``simulate_window`` per path."""
     cfg = IntegratorConfig()
-    entries = dict(spec.realization().entries)
-    skeleton = sorted({entries[k] for k in list(ks) + [ks[-1] + 1]})
+    times = spec.realization().t.tolist()
+    skeleton = sorted({times[k - 1] for k in list(ks) + [ks[-1] + 1]})
     states = {t: [None] * n_outer for t in skeleton}
     for i in range(n_outer):
         streams = policy.aux_streams(_AUX_OUTER, 0, i)
@@ -250,7 +289,7 @@ def _supermartingale_rows_one_path_at_a_time(spec, v, ks, n_outer, n_inner, poli
             t_prev = t
     rows = []
     for k in ks:
-        t_lo, t_hi = entries[k], entries[k + 1]
+        t_lo, t_hi = times[k - 1], times[k]
         v_now, v_next = [], []
         for i, st in enumerate(states[t_lo]):
             if st is None:

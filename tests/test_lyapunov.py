@@ -141,7 +141,7 @@ def test_wio_affine_switch_kernel():
 
 def test_wio_impulse_term_at_jump_time():
     spec = spec_from_dict(build_preset("case2"))
-    t1 = spec.realization().entries[0][1]
+    t1 = float(spec.realization().t[0])
     x = np.array([2.0])
     off = wio_evaluate(spec, X2, 0.9, 2, 1, x)
     on = wio_evaluate(spec, X2, t1, 2, 1, x)
@@ -414,8 +414,7 @@ def test_discrete_operator_batches_match_one_path_at_a_time(case, vname, cap, mo
     make, k = OPERATOR_CASES[case]
     spec, v, policy, mc = make(), OPERATOR_VS[vname], RngPolicy(23), 7
     state = (spec.y0, spec.h0, spec.x0)
-    entries = dict(spec.realization().entries)
-    t_lo, t_hi = entries[k], entries[k + 1]
+    t_lo, t_hi = spec.realization().t[k - 1 : k + 1].tolist()
     vals = np.empty(mc)
     exploded = 0
     for j in range(mc):
@@ -554,7 +553,7 @@ def test_stability_jump_moments_run_over_the_kept_impulses(monkeypatch):
     cfg = build_preset("case2")
     cfg["schedule"].update(k_max=10 ** 5, delta_min=1e-6)
     spec = spec_from_dict(cfg)
-    last = int(spec.realization().indices.max())
+    last = spec.realization().t.size
     assert last < 2000
     seen = []
     real = lyapunov.check_jump_moment_condition
@@ -631,3 +630,62 @@ def test_quadratic_bounds_power_function_fails_with_witness():
 def test_quadratic_bounds_validation():
     with pytest.raises(ValueError):
         QuadraticBounds(c1=2.0, c2=1.0, c3=1.0, c4=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the jump skeleton against a brute-force list of (k, t_k) pairs
+# ---------------------------------------------------------------------------
+
+# every schedule kind, and an explicit list out of index order that k_max cuts
+SKELETON_SCHEDULES = {
+    "explicit": ({"kind": "explicit-list", "times": [0.2, 0.5, 0.9, 1.4]},
+                 [0.2, 0.5, 0.9, 1.4]),
+    "explicit-out-of-order": ({"kind": "explicit-list", "k_max": 6,
+                               "times": [0.7, 0.2, 1.1, 0.5, 0.9, 1.4, 0.3]},
+                              [0.7, 0.2, 1.1, 0.5, 0.9, 1.4]),
+    "harmonic-to-point": ({"kind": "harmonic-to-point", "t_star": 1.5, "c": 0.5, "k_max": 9},
+                          [1.5 - 0.5 / k for k in range(1, 10)]),
+    "harmonic-to-zero": ({"kind": "harmonic-to-zero", "alpha": 1.2, "k_max": 9},
+                         [1.2 / k for k in range(1, 10)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_SCHEDULES))
+def test_skeleton_lookups_match_a_brute_force_pair_list(name):
+    schedule, times = SKELETON_SCHEDULES[name]
+    spec = make_spec(schedule=schedule)
+    pairs = list(enumerate(times, start=1))
+    by_k = dict(pairs)
+    real = spec.realization()
+    assert real.t.tolist() == times
+
+    # a window's jumps, in time order
+    edges = sorted({0.0, 1.5, -math.inf, math.inf, *times, *(t + 0.01 for t in times)})
+    for t0 in edges:
+        for t1 in edges:
+            ks, jump_times = real.jumps_in(t0, t1)
+            want = sorted(((k, t) for k, t in pairs if t0 < t <= t1), key=lambda e: e[1])
+            assert list(zip(ks.tolist(), jump_times.tolist())) == want, (t0, t1)
+
+    # segment times, as Python floats
+    for k in range(-1, len(times) + 2):
+        if k not in by_k or k + 1 not in by_k:
+            with pytest.raises(InvalidSegment, match="is not realized"):
+                lyapunov._segment_times(spec, k)
+        elif not by_k[k] < by_k[k + 1]:
+            with pytest.raises(InvalidSegment, match="is empty"):
+                lyapunov._segment_times(spec, k)
+        else:
+            t_lo, t_hi = lyapunov._segment_times(spec, k)
+            assert (type(t_lo), type(t_hi)) == (float, float)
+            assert (t_lo, t_hi) == (by_k[k], by_k[k + 1])
+
+    # the jump at a time, and the WIO oracle's refusal of a step that holds one
+    for t in [*times, *(t + 0.01 for t in times), 0.0, 0.04]:
+        assert lyapunov._jump_index_at(spec, t) == next((k for k, tau in pairs if tau == t), None)
+        for dt in (1e-3, 0.01, 0.3):
+            if any(t <= tau <= t + dt for _, tau in pairs):
+                with pytest.raises(ValueError, match="scheduled jump"):
+                    wio_finite_difference(spec, X2, t, 1, 1, [1.0], mc=1, dt=dt)
+            else:
+                wio_finite_difference(spec, X2, t, 1, 1, [1.0], mc=1, dt=dt)

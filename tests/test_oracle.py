@@ -34,7 +34,8 @@ def exact_states(spec, times, n_paths, rng):
     b = np.array([spec.diffusion.linear_rate(r) for r in regimes])
     times = np.asarray(times, dtype=float)
     horizon = float(times[-1])
-    jumps = dict((t, k) for k, t in spec.realization().jumps_in(0.0, horizon))
+    ks, jump_times = spec.realization().jumps_in(0.0, horizon)
+    jumps = dict(zip(jump_times.tolist(), ks.tolist()))
     bounds = np.unique(np.concatenate(([0.0], list(jumps), times)))
 
     # occupation time of each regime up to each boundary, and the regime

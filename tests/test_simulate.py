@@ -76,10 +76,10 @@ def test_jump_times_hit_exactly_and_cadlag():
     traj = simulate_path(spec, IntegratorConfig(), 5.0, 2, RngPolicy(7))
     assert len(traj.jump_events) == 200
     times = set(traj.times.tolist())
-    sched = dict(spec.realization().entries)
+    sched = spec.realization().t
     for ev in traj.jump_events:
         # the scheduled float is hit exactly, never straddled
-        assert ev.time == sched[ev.k]
+        assert ev.time == sched[ev.k - 1]
         assert ev.time in times
         g = spec.jump.evaluate(ev.k, 1, ev.mark, ev.x_before)
         assert abs(ev.x_after[0] - ev.x_before[0] - g[0]) <= 1e-12
@@ -1011,7 +1011,7 @@ def _loop_grid(realization, t0, t1, dt_max):
         return pts
 
     pts, cur = [t0], t0
-    for _, tau in realization.jumps_in(t0, t1):
+    for tau in realization.jumps_in(t0, t1)[1].tolist():
         pts += interior(cur, tau) + [tau]
         cur = tau
     if cur < t1:

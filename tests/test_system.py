@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,14 +40,17 @@ ALPHA = 1.673
 def test_schedule_harmonic_to_point_first_three():
     sched = JumpSchedule(kind="harmonic-to-point", t_star=2.0, c=1.0, k_max=3)
     real = generate_schedule(sched)
-    assert real.entries == ((1, 1.0), (2, 1.5), (3, 2.0 - 1.0 / 3.0))
+    assert real.t.tolist() == [1.0, 1.5, 2.0 - 1.0 / 3.0]
     assert real.n_truncated == 0
 
 
 def test_schedule_harmonic_to_zero_reverses_index_order():
     sched = JumpSchedule(kind="harmonic-to-zero", alpha=1.0, k_max=3)
     real = generate_schedule(sched)
-    assert real.entries == ((3, 1.0 / 3.0), (2, 0.5), (1, 1.0))
+    assert real.t.tolist() == [1.0, 0.5, 1.0 / 3.0]
+    ks, times = real.jumps_in(0.0, 1.0)
+    assert ks.tolist() == [3, 2, 1]
+    assert times.tolist() == [1.0 / 3.0, 0.5, 1.0]
 
 
 def test_schedule_empty_list_raises():
@@ -58,7 +62,7 @@ def test_schedule_delta_min_truncation():
     # gaps of 2 - 1/k shrink like 1/k^2; delta_min = 0.01 keeps k <= 10
     sched = JumpSchedule(kind="harmonic-to-point", t_star=2.0, c=1.0, k_max=200, delta_min=0.01)
     real = generate_schedule(sched)
-    assert real.indices.max() == 10
+    assert real.t.size == 10
     assert real.n_truncated == 190
 
 
@@ -69,22 +73,21 @@ def test_schedule_delta_min_truncation():
 @pytest.mark.parametrize("k_max", [1, 7, 200])
 def test_schedule_times_increase_and_stay_below_star(kind, kwargs, k_max):
     real = generate_schedule(JumpSchedule(kind=kind, k_max=k_max, **kwargs))
-    times = real.times
+    times = real.jumps_in(-math.inf, math.inf)[1]
     assert (np.diff(times) > 0).all()
     if kind == "harmonic-to-point":
         assert times.max() < kwargs["t_star"]
 
 
 def _realize_by_full_scan(schedule):
-    """The realization built the direct way: all ``k_max`` entries, then the
-    first gap below ``delta_min`` cuts the tail."""
+    """The realization built the direct way: all ``k_max`` times by index,
+    then the first gap below ``delta_min`` cuts the tail."""
     c = schedule.c if schedule.kind == "harmonic-to-point" else schedule.alpha
     ks = range(1, schedule.k_max + 1)
     t = [schedule.t_star - c / k for k in ks] if schedule.kind == "harmonic-to-point" \
         else [c / k for k in ks]
     cutoff = next((k for k in ks[:-1] if abs(t[k] - t[k - 1]) < schedule.delta_min), schedule.k_max)
-    kept = sorted(((k, t[k - 1]) for k in range(1, cutoff + 1)), key=lambda e: e[1])
-    return tuple(kept), schedule.k_max - cutoff
+    return t[:cutoff], schedule.k_max - cutoff
 
 
 @pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
@@ -94,21 +97,21 @@ def test_schedule_cut_matches_full_scan(kind, c, t_star):
         for delta_min in (0.0, 1e-18, 1e-15, 3e-13, 1e-9, 2.5e-7, 1e-3, 0.1, 1.0, 10.0):
             sched = JumpSchedule(kind=kind, c=c, alpha=c, t_star=t_star, k_max=k_max,
                                  delta_min=delta_min)
-            entries, n_truncated = _realize_by_full_scan(sched)
-            times = [t for _, t in entries]
+            t, n_truncated = _realize_by_full_scan(sched)
+            times = sorted(t)
             if any(b <= a for a, b in zip(times, times[1:])):
                 with pytest.raises(ConfigError, match="strictly increasing"):
                     realize_schedule(sched)
                 continue
             real = realize_schedule(sched)
-            assert (real.entries, real.n_truncated) == (entries, n_truncated), (k_max, delta_min)
+            assert (real.t.tolist(), real.n_truncated) == (t, n_truncated), (k_max, delta_min)
 
 
 @pytest.mark.parametrize("preset", ["case1", "case2", "case3", "intro"])
 def test_schedule_cut_of_presets_matches_full_scan(preset):
     sched = spec_from_dict(build_preset(preset)).schedule
     real = realize_schedule(sched)
-    assert (real.entries, real.n_truncated) == _realize_by_full_scan(sched)
+    assert (real.t.tolist(), real.n_truncated) == _realize_by_full_scan(sched)
 
 
 @pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
@@ -117,7 +120,7 @@ def test_schedule_huge_k_max_realizes_quickly(kind):
     t0 = time.perf_counter()
     real = realize_schedule(JumpSchedule(kind=kind, k_max=10**9, delta_min=1e-9))
     assert time.perf_counter() - t0 < 5.0
-    assert len(real.entries) == 31623
+    assert real.t.size == 31623
     assert real.n_truncated == 10**9 - 31623
 
 
@@ -135,13 +138,30 @@ def test_schedule_keeping_too_many_entries_is_rejected_quickly(kind, delta_min):
 def test_schedule_at_the_entry_cap_is_kept():
     real = realize_schedule(JumpSchedule(kind="harmonic-to-zero", k_max=MAX_HARMONIC_ENTRIES,
                                          delta_min=0.0))
-    assert len(real.entries) == MAX_HARMONIC_ENTRIES
+    assert real.t.size == MAX_HARMONIC_ENTRIES
+
+
+@pytest.mark.parametrize("kind", ["harmonic-to-point", "harmonic-to-zero"])
+def test_schedule_at_the_entry_cap_holds_little_more_than_its_times(kind):
+    # the times by index are 7.6 MiB; the bound leaves room for a few
+    # temporaries of their size, and none for a Python object per jump
+    sched = JumpSchedule(kind=kind, k_max=MAX_HARMONIC_ENTRIES, delta_min=0.0)
+    tracemalloc.start()
+    try:
+        real = realize_schedule.__wrapped__(sched)  # past the cache, so it is built here
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.t.size == MAX_HARMONIC_ENTRIES
+    assert peak < 32 * 2 ** 20
 
 
 def test_schedule_jumps_in_window():
     real = generate_schedule(JumpSchedule(kind="harmonic-to-point", t_star=2.0, c=1.0, k_max=5))
-    assert real.jumps_in(1.0, 1.5) == [(2, 1.5)]
-    assert real.jumps_in(0.0, 0.5) == []
+    ks, times = real.jumps_in(1.0, 1.5)
+    assert (ks.tolist(), times.tolist()) == ([2], [1.5])
+    ks, times = real.jumps_in(0.0, 0.5)
+    assert (ks.size, times.size) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +311,35 @@ def test_custom_sequence_requires_user_constants():
     assert ok.gamma_total() == 1.0
 
 
+@pytest.mark.parametrize("n_l,n_gamma,message", [
+    (240, 240, None),
+    (100, 240, "l_seq has no entry for k=101"),
+    (240, 150, "gamma_seq has no entry for k=151"),
+    (100, 150, "l_seq has no entry for k=101"),
+    (None, 240, "custom-sequence without user-supplied l_seq"),
+    (240, None, "custom-sequence without user-supplied gamma_seq"),
+])
+def test_derive_constants_refuses_custom_constants_that_stop_before_the_last_jump(
+        n_l, n_gamma, message):
+    # case2 realizes 200 jumps
+    cfg = build_preset("case2")
+    cfg["jump"] = {"kind": "custom-sequence", "maps": [[-0.5, 0.0]] * 240}
+    if n_l is not None:
+        cfg["jump"]["l_seq"] = [0.25] * n_l
+    if n_gamma is not None:
+        cfg["jump"]["gamma_seq"] = [0.5 ** k for k in range(1, n_gamma + 1)]
+    spec = spec_from_dict(cfg)
+    if message is None:
+        assert derive_constants(spec).sum_l == 0.25 * 240
+    else:
+        with pytest.raises(UnsupportedFamily, match=f"^{message}$"):
+            derive_constants(spec)
+
+
 def test_derive_constants_zero_jumps():
     spec = make_spec()
     consts = derive_constants(spec)
-    assert consts.l_seq.size == 0
+    assert consts.sum_l == 0.0
     assert consts.sum_gamma == 0.0
     assert consts.c_growth == 1.0  # max(a^2 + b^2) for a=-1, b=0
 
@@ -307,7 +352,7 @@ def _sample_coeff(family: CoefficientFamily, y: int, x: np.ndarray) -> np.ndarra
 def test_growth_and_lipschitz_constants_dominate_samples(preset, rng):
     spec = spec_from_dict(build_preset(preset))
     consts = derive_constants(spec)
-    ks = spec.realization().indices
+    ks = np.arange(1, spec.realization().t.size + 1)
     for _ in range(5000):
         y = int(rng.integers(1, spec.n_regimes + 1))
         h = int(rng.integers(1, spec.eta_chain.n_states + 1))

@@ -14,8 +14,10 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   chain (rates 20, so most windows switch many times) and case2 with a
   stiff regime (drift -400, whose paths on the long windows are walked
   step by step), and case2 with mark rows that differ, with three marks
-  and per-step matrices that hold zeros, and with the ``custom-sequence``
-  and ``zero`` jump families, over four windows, with
+  and per-step matrices that hold zeros, with the ``custom-sequence``
+  and ``zero`` jump families, and with two explicit jump lists whose times
+  are out of index order, one cut by ``delta_min`` and one by ``k_max``,
+  over four windows, with
   ``path_streams`` and ``aux_streams_batch`` bundles, under five work
   budgets: 7 paths under the default, one chunk of all paths, chunks kept,
   and normals drawn again; and 60 paths under a budget whose blocks run in
@@ -23,10 +25,12 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   products of only their first groups.  Every result field, each path's
   jump records up to the jumps it applied, and each live path's generator
   states after the window
-- ``simulate_ensemble`` and ``simulate_path`` on the four presets and the
-  four mark and jump variants
+- ``simulate_ensemble`` and ``simulate_path`` on the four presets, the
+  four mark and jump variants and the two explicit lists
 - the mean-square, probability and blow-up probes, and the segment bound
-- the supermartingale probe and the discrete Lyapunov operator
+- the supermartingale probe and the discrete Lyapunov operator, also on
+  the explicit lists, over segments that run forwards, backwards and past
+  the last kept jump, and on intro, whose segments run backwards
 - the nested estimators again (the segment bound, the operator, and the
   supermartingale probe on case2 and on case3, where some and then all
   outer paths have exploded) in batches of ``SMALL_CAP`` rows, which split
@@ -34,7 +38,8 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   ``lyapunov`` and, in a tree that keeps its own copy, on ``analysis``
 - the CLI's files (manifests without ``created_at``), stdout and exit code
   for ``simulate``, ``rerun``, ``check`` (with and without ``--eps-search``)
-  and every ``probe`` kind
+  and every ``probe`` kind, and ``check`` on ``custom-sequence`` configs
+  whose ``l_seq``/``gamma_seq`` cover the schedule or stop short of it
 
 ``--quick`` keeps one seed.  Floats are hashed by their exact bits; a case
 that raises is hashed by its exception's type and message.
@@ -73,6 +78,24 @@ MARK_AND_JUMP_VARIANTS = (
      {"p": [[0.9, 0.1], [0.2, 0.8]]}),
     ("jump-zero", {"kind": "zero"}, None),
 )
+# case2 with explicit jump lists whose times are out of index order: name,
+# schedule; the first is cut by delta_min at k = 9 of 12, the second by
+# k_max at 11 of 14
+EXPLICIT_SCHEDULES = (
+    ("explicit-delta", {"kind": "explicit-list", "delta_min": 1e-3,
+                        "times": [0.25, 1.2, 0.8, 1.6, 1.55, 1.75, 2.5, 1.9, 3.1, 3.1004, 4.0, 4.6]}),
+    ("explicit-kmax", {"kind": "explicit-list", "k_max": 11,
+                       "times": [0.4, 1.1, 2.0, 2.4, 0.7, 1.3, 1.65, 3.0, 2.6, 3.8, 4.4, 4.9, 2.9,
+                                 1.45]}),
+)
+# the supermartingale probe's segments on the explicit lists: some run
+# backwards, some need a jump past the last kept one, and on explicit-kmax
+# [3, 5] the sweep also stops at t_6, which comes before t_3
+EXPLICIT_K_RANGES = ([1, 5, 8], [3, 5], [1, 6, 9, 10], [2], [8, 9])
+# custom-sequence constants for check: name, length of l_seq, of gamma_seq
+# (None leaves it out); case2 realizes 200 jumps
+CUSTOM_CONSTANTS = (("covered", 240, 240), ("l-short", 100, 240), ("gamma-short", 240, 150),
+                    ("both-short", 100, 150), ("none", None, None))
 
 
 def canon(value, out: list) -> None:
@@ -145,6 +168,10 @@ def specs(z) -> dict:
         cfg["jump"] = jump or cfg["jump"]
         cfg["eta_transition"] = eta or cfg["eta_transition"]
         out[name] = z.system.spec_from_dict(cfg)
+    for name, schedule in EXPLICIT_SCHEDULES:
+        cfg = build("case2")
+        cfg["schedule"] = schedule
+        out[name] = z.system.spec_from_dict(cfg)
     return out
 
 
@@ -203,7 +230,7 @@ def model_cases(z, all_specs, seeds):
             yield (f"path/{name}/{seed}",
                    outcome(simulate.simulate_path, spec, cfg, horizon, 3, policy,
                            record_times=np.array([0.5, 1.0, 2.5])))
-        for name, _, _ in MARK_AND_JUMP_VARIANTS:
+        for name in [v[0] for v in MARK_AND_JUMP_VARIANTS + EXPLICIT_SCHEDULES]:
             spec = all_specs[name]
             yield (f"ensemble/{name}/{seed}",
                    outcome(simulate.simulate_ensemble, spec, cfg, 5.0, 60, policy))
@@ -229,6 +256,18 @@ def model_cases(z, all_specs, seeds):
         for name in presets:
             spec = all_specs[name]
             for k in (1, 3, 10):
+                yield (f"operator/{name}/{k}/{seed}",
+                       outcome(lyapunov.discrete_lyapunov_operator, spec, v,
+                               (spec.y0, spec.h0, spec.x0), k, 40, policy))
+        yield (f"supermartingale/intro/{seed}",
+               outcome(analysis.probe_supermartingale, all_specs["intro"], v, range(1, 6), 20, 5,
+                       policy))
+        for name, _ in EXPLICIT_SCHEDULES:
+            spec = all_specs[name]
+            for ks in EXPLICIT_K_RANGES:
+                yield (f"supermartingale/{name}/{'-'.join(map(str, ks))}/{seed}",
+                       outcome(analysis.probe_supermartingale, spec, v, ks, 60, 10, policy))
+            for k in (1, 2, 3, 10):
                 yield (f"operator/{name}/{k}/{seed}",
                        outcome(lyapunov.discrete_lyapunov_operator, spec, v,
                                (spec.y0, spec.h0, spec.x0), k, 40, policy))
@@ -289,6 +328,17 @@ def cli_cases(z, seeds):
     commands += [(f"check-eps-search/{name}", ["check", "--preset", name, "--eps-search"])
                  for name in ("case1", "case2", "case3", "intro")]
     with tempfile.TemporaryDirectory() as tmp:
+        maps = dict((v[0], v[1]) for v in MARK_AND_JUMP_VARIANTS)["jump-custom"]["maps"]
+        for name, n_l, n_gamma in CUSTOM_CONSTANTS:
+            cfg = z.cli.build_preset("case2")
+            cfg["jump"] = {"kind": "custom-sequence", "maps": maps}
+            if n_l is not None:
+                cfg["jump"]["l_seq"] = [s * s for s, _ in maps[:n_l]]
+            if n_gamma is not None:
+                cfg["jump"]["gamma_seq"] = [0.9 ** k for k in range(1, n_gamma + 1)]
+            path = Path(tmp) / f"custom-{name}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            commands.append((f"check-custom/{name}", ["check", "--config", str(path)]))
         for name, argv in commands:
             out = Path(tmp) / name.replace("/", "_")
             yield f"cli/{name}", run_cli(z, argv + ["--out", str(out)], out, tmp)
