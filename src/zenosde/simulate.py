@@ -20,11 +20,15 @@ maps come from a table built once per window.  Each block runs through one
 loop over chunks of one form: a range of whole paths
 by a range of steps.  A chunk holds as many whole paths as one byte budget,
 ``_WORK_BYTES``, holds of work arrays, switch times counted; a path that
-alone exceeds it runs by itself in chunks of steps.  A path draws its
-normals once: the products of its chunks are kept for the pass after the
-impulse loop, unless they would take the block's kept products past twice
-that budget, or a long window has so many jumps that blocks of paths whose
-products fit would make the impulse loop dearer than drawing them again.
+alone exceeds it runs by itself in chunks of steps.  A scalar path with no
+additive part and no collected states is summarized: its sup and returned
+states follow, bit for bit, from each segment's largest |product| and its
+products at the states it returns (see :func:`simulate_batch`).  Every other
+path takes a pass over its states after the impulse loop, and draws its
+normals once: the products of its chunks are kept for that pass, unless
+they would take the block's kept products past twice the budget, or a long
+window has so many jumps that blocks of paths whose products fit would make
+the impulse loop dearer than drawing them again.
 """
 
 from __future__ import annotations
@@ -589,17 +593,24 @@ def simulate_batch(
 
     The paths run in blocks (see :func:`_plan`) that share one impulse loop;
     a block ends early where its regime chains' switch times pass
-    ``_WORK_BYTES``.  Each block runs in chunks, twice: once for the products
-    at the jumps, and again, after the impulse loop, for the states.  A chunk
-    is a group of as many whole paths as ``_WORK_BYTES`` holds of work arrays
-    at the block's widest path, switch times counted, or, when that path
-    alone is past it, one path over a range of its steps.  The first pass
-    keeps each group's products and sums for the second, as long as the
-    block's kept products fit twice ``_WORK_BYTES`` with its per-jump state;
-    the groups past that draw their normals again, from generators set back
-    to their state before the first draw.  ``cumprod`` and ``cumsum`` are
-    sequential, so continuing them from the previous chunk's last column
-    gives the same bits.
+    ``_WORK_BYTES``.  A block runs in chunks: a group of as many whole paths
+    as ``_WORK_BYTES`` holds of work arrays at the block's widest path,
+    switch times counted, or, when that path alone is past it, one path over
+    a range of its steps.  The first pass over them gives the products at
+    the jumps, and on a summarized window (see :func:`_summarized`) each
+    segment's largest |product|, its start's included, and the products at
+    the record times and the last step: division and multiplication round
+    monotonically and alike for both signs, so these give the sup and the
+    returned states.  A second pass, after the impulse loop, gives every
+    state of the chunks that hold a path that needs it: a walked path, or
+    one whose segment bound up to its stopping jump is past the threshold or
+    NaN, on a summarized window; every path otherwise.  The first pass keeps
+    each group's products and sums for the second while the block's kept
+    products fit twice ``_WORK_BYTES`` with its per-jump state; the groups
+    past that draw their normals again, from generators set back to their
+    state before the first draw.  ``cumprod`` and ``cumsum`` are sequential,
+    so continuing them from the previous chunk's last column gives the same
+    bits.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
@@ -615,7 +626,7 @@ def simulate_batch(
     if not ((rec >= t0) & (rec <= t1)).all():
         raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
     base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
-    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))
+    block = _plan(spec, base.size - 1 + rec.size, jump_times.size, rec.size, collect_path)
     span, ys = t1 - t0, y.tolist()
     for y0 in dict.fromkeys(ys):  # distinct start regimes, in path order
         spec.xi_chain._check_state(y0)
@@ -653,15 +664,19 @@ def simulate_batch(
     return BatchResult(**joined)
 
 
-def _plan(width: int, n_jumps: int, dim: int, additive: bool) -> int:
-    """Paths per block for windows of about ``width`` steps and ``n_jumps`` jumps.
+def _plan(spec: SystemSpec, width: int, n_jumps: int, n_rec: int, collect_path: bool) -> int:
+    """Paths per block for windows of about ``width`` steps, ``n_jumps``
+    jumps and ``n_rec`` record times.
 
     A block's paths share one impulse loop, and run in chunks of whole
-    paths (see :func:`simulate_batch`) twice: once for the products at the
-    jumps, and once, after the impulses, for the states.  The first pass
-    keeps each chunk's products (``8 * dim`` bytes per step, twice that with
-    the sums of an additive family) for the second, and a block is as many
-    paths as twice ``_WORK_BYTES`` holds of them with their per-jump state.
+    paths (see :func:`simulate_batch`).  A summarized window's block is as
+    many paths as twice ``_WORK_BYTES`` holds of their per-jump state and
+    summaries.  Otherwise each chunk runs twice: once for the products at
+    the jumps, and once, after the impulses, for the states.  The first
+    pass keeps each chunk's products (``8 * dim`` bytes per step, twice that
+    with the sums of an additive family) for the second, and a block is as
+    many paths as twice ``_WORK_BYTES`` holds of them with their per-jump
+    state.
     Such a block is small when the window is long, and every block pays one
     loop iteration per jump, which costs about as much as drawing
     ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept block's
@@ -673,8 +688,11 @@ def _plan(width: int, n_jumps: int, dim: int, additive: bool) -> int:
     ``width`` cannot count switch times, drawn later; the paths that they
     push past the budget draw their normals again too.
     """
-    state = _jump_bytes(n_jumps, dim)
-    kept = 2 * _WORK_BYTES // (_kept_bytes(width, dim, additive) + state)
+    summarized = _summarized(spec, collect_path)
+    state = _jump_bytes(n_jumps, n_rec, spec.dim, summarized)
+    if summarized:
+        return max(1, 2 * _WORK_BYTES // state)
+    kept = 2 * _WORK_BYTES // (_kept_bytes(width, spec.dim, _additive(spec)) + state)
     if kept >= 1 and kept * width >= _STEPS_PER_JUMP * n_jumps:
         return kept
     return max(1, kept, _WORK_BYTES // state)
@@ -686,9 +704,18 @@ def _kept_bytes(steps, dim: int, additive: bool):
     return (steps + 1) * 8 * dim * (1 + additive)
 
 
-def _jump_bytes(n_jumps: int, dim: int) -> int:
-    """Bytes of a path's state at each jump, held through the impulse loop."""
-    return (n_jumps + 1) * (24 * dim + 48)
+def _jump_bytes(n_jumps: int, n_rec: int, dim: int, summarized: bool) -> int:
+    """Bytes of a path's state at each jump, held through the impulse loop;
+    a summarized path also holds its segments' largest products and the
+    products and columns of the states it returns."""
+    held = (n_jumps + 1) * (24 * dim + 48)
+    return held + 8 * (n_jumps + 1) + 16 * (n_rec + 1) if summarized else held
+
+
+def _summarized(spec: SystemSpec, collect_path: bool) -> bool:
+    """Whether a window's paths are summarized by segment: scalar, with no
+    additive part, and not collected (see :func:`_integrate`)."""
+    return spec.dim == 1 and not _additive(spec) and not collect_path
 
 
 def _additive(spec: SystemSpec) -> bool:
@@ -717,34 +744,50 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         grid = np.unique(np.concatenate((base, rec)))
         gj = np.searchsorted(grid, jump_times)
     gr = np.searchsorted(grid, rec)
-    # each segment's first column: 0, then each jump's
-    starts = np.zeros((n_paths, n_jumps + 1), dtype=np.int64)
-    starts[:, 1:] = gj
-    jidx = starts[:, 1:]
-    ridx = _rows(gr, (n_paths, rec.size), np.int64)
+    # per path: each segment's first column (0, then each jump's), then the
+    # columns of the states returned (each record time's, then the last)
+    at_cols = np.zeros((n_paths, n_jumps + rec.size + 2), dtype=np.int64)
+    starts, jidx = at_cols[:, : n_jumps + 1], at_cols[:, 1 : n_jumps + 1]
+    ridx, out_cols = at_cols[:, n_jumps + 1 : -1], at_cols[:, n_jumps + 1 :]
+    jidx[:], ridx[:] = gj, gr
     n_new = np.zeros(n_paths, dtype=np.int64)
     inserted = {}
-    for p, chain in chains.items():
-        sw = t0 + chain.switch_times
+    if chains:
+        # every chain's switch times at once, in path order, each with its path
+        own = np.fromiter(chains, np.int64, len(chains))
+        sw = t0 + np.concatenate([chain.switch_times for chain in chains.values()])
+        of = np.repeat(own, [chain.switch_times.size for chain in chains.values()])
         at = np.searchsorted(grid, sw)
         keep = grid[np.minimum(at, grid.size - 1)] != sw
-        keep[1:] &= sw[1:] != sw[:-1]
-        if keep.any():
-            sw, at = sw[keep], at[keep]
-            n_new[p] = sw.size
-            inserted[p] = (at, sw)
-            jidx[p] += np.searchsorted(at, gj, side="right")
-            ridx[p] += np.searchsorted(at, gr, side="right")
+        keep[1:] &= (sw[1:] != sw[:-1]) | (of[1:] != of[:-1])
+        sw, at, of = sw[keep], at[keep], of[keep]
+        n_new += np.bincount(of, minlength=n_paths)
+        # a path's columns move on by its switch times inserted at or before
+        # them: one sorted search, each path's columns offset past the last's
+        key, off = at + (grid.size + 1) * of, (grid.size + 1) * rows[:, None]
+        before = np.searchsorted(key, off, side="left")
+        jidx += np.searchsorted(key, off + gj, side="right") - before
+        ridx += np.searchsorted(key, off + gr, side="right") - before
+        for p, lo, hi in zip(own.tolist(), np.searchsorted(of, own).tolist(),
+                             np.searchsorted(of, own, side="right").tolist()):
+            if lo < hi:
+                inserted[p] = (at[lo:hi], sw[lo:hi])
     steps = grid.size - 1 + n_new
     width = int(steps.max())
+    at_cols[:, -1] = steps
+    # segment s of path p covers columns starts[p, s] up to ends[p, s]
+    ends = np.empty_like(starts)
+    ends[:, :-1] = jidx
+    ends[:, -1] = width + 1
 
     # a chunk is paths rows[sel] over columns a..b (see simulate_batch); the
     # groups keep their products while all kept so far, with the block's
     # state at each jump, fit twice the budget
     additive = _additive(spec)
+    summarized = _summarized(spec, collect_path)
     limit = max(1, _WORK_BYTES // (128 * dim))
     group = max(1, limit // width)
-    held = n_paths * _jump_bytes(n_jumps, dim)
+    held = n_paths * _jump_bytes(n_jumps, rec.size, dim, summarized)
     chunks = []
     for lo in range(0, n_paths, group):
         sel = slice(lo, lo + group)
@@ -755,7 +798,14 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
 
     def grid_of(p):
         """Path ``p``'s own step grid."""
-        return np.insert(grid, *inserted[p]) if p in inserted else grid
+        if p not in inserted:
+            return grid
+        at, sw = inserted[p]
+        edges = [0, *at.tolist(), grid.size]
+        parts = [grid[: edges[1]]]
+        for i, t in enumerate(sw[:, None]):
+            parts += [t, grid[edges[i + 1] : edges[i + 2]]]
+        return np.concatenate(parts)
 
     def bounds_of(sel, a, b):
         """Columns ``a..b`` of the grids of paths ``rows[sel]``, each padded
@@ -841,12 +891,18 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return np.random.Generator(bit_gen)
 
     # first pass: regimes, products and sums at the jumps, and the extremes
-    # of each path's products
-    p_start = np.empty((n_paths, n_jumps + 1, dim))
-    p_start[:, 0] = 1.0
+    # of each path's products; a summarized path also keeps its products at
+    # the columns of the states it returns, and its largest |product| in
+    # each segment, its start's included
+    cols = at_cols[:, 1:] if summarized else jidx
+    p_cols = np.empty((n_paths, 1 + cols.shape[1], dim))
+    p_cols[:, 0] = 1.0
+    p_start = p_cols[:, : n_jumps + 1]
     c_start = np.zeros((n_paths, n_jumps + 1, dim)) if additive else None
     needs_walk = np.zeros(n_paths, dtype=bool)
     u_mark = np.empty((n_paths, n_jumps))
+    if summarized:
+        seg_max = np.zeros((n_paths, n_jumps + 1))
 
     def first_pass(sel, a, b, carry):
         regimes, m_fac, u_add = factors(sel, a, b, gens)
@@ -858,13 +914,31 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         if absp.min() < 1.0 / _CASCADE_LIMIT or absp.max() > _CASCADE_LIMIT:
             needs_walk[sel] |= (absp.min(axis=(1, 2)) < 1.0 / _CASCADE_LIMIT) \
                 | (absp.max(axis=(1, 2)) > _CASCADE_LIMIT)
-        # the jumps in columns a+1..b
-        jj = jidx[sel] - a
-        inside = (jj > 0) & (jj <= b - a)
-        pp, jc = inside.nonzero()[0], jj[inside]
-        p_start[sel, 1:][inside] = prod[pp, jc]
-        if cum is not None:
-            c_start[sel, 1:][inside] = cum[pp, jc]
+        jj, st = cols[sel] - a, starts[sel]
+        pos = np.maximum(st, a) - a + (b - a + 1) * np.arange(st.shape[0])[:, None]
+        if a == 0 and b - a < limit:
+            # the group's one chunk holds every column kept and every segment
+            g = np.arange(jj.shape[0])[:, None]
+            p_cols[sel, 1:] = prod[g, jj]
+            if cum is not None:
+                c_start[sel, 1:] = cum[g, jj]
+            if summarized:
+                seg_max[sel] = np.maximum.reduceat(absp.ravel(), pos.ravel()).reshape(st.shape)
+        else:
+            # the columns kept in a..b; one at a was kept by the chunk before,
+            # and is the same there
+            inside = (jj >= 0) & (jj <= b - a)
+            pp, jc = inside.nonzero()[0], jj[inside]
+            p_cols[sel, 1:][inside] = prod[pp, jc]
+            if cum is not None:
+                c_start[sel, 1:][inside] = cum[pp, jc]
+            if summarized:
+                # each segment's columns in a..b run on from where the one
+                # before ends, in path order; a segment split between chunks
+                # meets itself again in fmax
+                live = (st <= b) & (ends[sel] > a)
+                seg = seg_max[sel]
+                seg[live] = np.fmax(seg[live], np.maximum.reduceat(absp.ravel(), pos[live]))
         return m_fac, u_add, prod, cum
 
     kept, chunk_of = [], {}
@@ -886,32 +960,37 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     h_hist[:, 1:] = sample_dtmc_step(spec.eta_chain, h, jump_ks, u_mark)
     gain, offset = _impulse_table(spec, t0, t1, jump_ks)
     if gain is not None:
-        gain = (gain[np.arange(n_jumps), h_hist[:, 1:] - 1] if gain.shape[1] > 1
-                else gain.T)[..., None]
+        gain = (gain[np.arange(n_jumps)[:, None], h_hist[:, 1:].T - 1] if gain.shape[1] > 1
+                else gain)[..., None]
     phi = spec.jump.phi
 
     # impulses in time order, on every path: a path's draws come from its own
     # streams, so impulses past its stop change nothing it returns, and where
     # each path stops is decided once, after the loop; x_start holds the
-    # start, then each post-jump state
-    x_start = np.zeros((n_paths, n_jumps + 1, dim))
-    x_start[:, 0] = x
-    x_pre = np.zeros((n_paths, n_jumps, dim))
-    x_post = x_start[:, 1:]
+    # start, then each post-jump state.  The loop's arrays are jump-major,
+    # so each jump reads and writes contiguous rows.
+    x_start = np.zeros((n_jumps + 1, n_paths, dim))
+    x_start[0] = x
+    x_pre = np.zeros((n_jumps, n_paths, dim))
+    x_post = x_start[1:]
     x_cur = x
-    ratio = p_start[:, 1:] / p_start[:, :-1]
-    shift = p_start[:, 1:] * (c_start[:, 1:] - c_start[:, :-1]) if additive else None
+    ratio = np.empty_like(x_pre)
+    np.divide(p_start[:, 1:], p_start[:, :-1], out=ratio.transpose(1, 0, 2))
+    shift = None
+    if additive:
+        shift = np.empty_like(x_pre)
+        np.multiply(p_start[:, 1:], c_start[:, 1:] - c_start[:, :-1], out=shift.transpose(1, 0, 2))
     for s in range(n_jumps):
-        xp = ratio[:, s] * x_cur
+        xp = ratio[s] * x_cur
         if shift is not None:
-            xp += shift[:, s]
+            xp += shift[s]
         for p, (walk, m_row, u_row) in walked.items():
             xp[p] = _walk(walk, m_row, u_row, starts[p, s], jidx[p, s], x_cur[p])
-        x_pre[:, s] = xp
-        g = 0.0 if gain is None else gain[:, s] * phi(xp)
+        x_pre[s] = xp
+        g = 0.0 if gain is None else gain[s] * phi(xp)
         if offset is not None:
             g = g + offset[s]
-        x_cur = x_post[:, s] = xp + g
+        x_cur = x_post[s] = xp + g
         # every path has stopped once each coordinate is past the threshold,
         # since a norm is never below its largest coordinate; the marks of
         # the jumps left are 0, as no path applies them
@@ -920,22 +999,54 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             break
     for p, (walk, m_row, u_row) in walked.items():
         _walk(walk, m_row, u_row, starts[p, -1], steps[p], x_cur[p])
+    x_start, x_pre, x_post = (v.transpose(1, 0, 2) for v in (x_start, x_pre, x_post))
+    del ratio, shift, gain, u_mark  # the loop's own arrays, before the states' arrays
 
-    # second pass: every state of the window, the post-jump state at a jump
-    # boundary; segment s of path p covers columns starts[p, s] up to
-    # ends[p, s].  Kept per path: the sup of the step norms, the first column
-    # over the threshold, the state at the last step and at each record time.
-    ends = np.empty_like(starts)
-    ends[:, :-1] = jidx
-    ends[:, -1] = width + 1
+    # a path stops at its first norm over the threshold, in a lone path's
+    # order: a segment's steps, the pre-jump state, the post-jump state
+    pre_norms = _norms(x_pre)
+    post_norms = _norms(x_post, pointwise=True)
+    pre_over = pre_norms > OVERFLOW_THRESHOLD
+    jump_over = np.empty((n_paths, n_jumps + 1), dtype=bool)
+    jump_over[:, -1] = True
+    jump_over[:, :-1] = pre_over | (post_norms > OVERFLOW_THRESHOLD)
+    stop_jump = jump_over.argmax(axis=1)      # the first jump a path stopped at, else n_jumps
+
+    # per path: the sup of the step norms, the first column over the
+    # threshold, the states returned
     sup = np.zeros(n_paths) + np.nan
     first = np.zeros(n_paths, dtype=np.int64) - 1
     x_first = np.empty((n_paths, dim))
     n_first = np.empty(n_paths)
-    # the columns of the states returned: each record time's, then the last
-    out_cols = np.column_stack((ridx, steps))
     x_out = np.empty((n_paths, out_cols.shape[1], dim))
+    redo = np.ones(n_paths, dtype=bool)
+    if summarized:
+        # a segment's states are fl(fl(p/P_s) * x_s) for its products p, P_s
+        # and x_s at its start: division and multiplication round
+        # monotonically and alike for both signs, so its largest |state| is
+        # that of its largest |p|, bit for bit, unless it is NaN
+        bound = seg_max / np.abs(p_start[..., 0])
+        bound *= np.abs(x_start[..., 0])
+        sup = np.fmax.reduce(bound, axis=1)
+        # a walked path, or one that may pass the threshold inside a segment
+        # up to the jump where it stops, takes the per-column pass
+        near = (bound > OVERFLOW_THRESHOLD) | np.isnan(bound)
+        redo = needs_walk | (near & (np.arange(n_jumps + 1) <= stop_jump[:, None])).any(axis=1)
+        # the segment of each returned column is the last that starts at or
+        # before it: one sorted search, each path's columns offset past the last's
+        off = (width + 2) * rows[:, None]
+        seg = np.searchsorted((starts + off).ravel(), (out_cols + off).ravel(), side="right")
+        seg = seg.reshape(out_cols.shape) - 1 - (n_jumps + 1) * rows[:, None]
+        xs = np.take_along_axis(x_start[..., 0], seg, 1)
+        ps = np.take_along_axis(p_start[..., 0], seg, 1)
+        # x_s at the segment's start, and p / P_s * x_s after it
+        at_start = np.take_along_axis(starts, seg, 1) == out_cols
+        x_out[..., 0] = np.where(at_start, xs, p_cols[:, n_jumps + 1 :, 0] / ps * xs)
+
+    # the per-column pass: every state of a chunk, the post-jump state at a
+    # jump boundary, on the chunks that hold a path that needs it
     X_all = np.empty((n_paths, width + 1, dim)) if collect_path else None
+
     def second_pass(sel, a, b, prod_cum, before):
         if prod_cum is None:
             if a == 0:
@@ -961,6 +1072,8 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             if p in walked:
                 X[i] = walked[p][0][np.minimum(np.arange(a, b + 1), steps[p])]
         norms = _norms(X)
+        if a == 0:  # a summarized path's sup is measured again
+            sup[sel] = np.nan
         sup[sel] = np.fmax(sup[sel], np.fmax.reduce(norms, axis=1))
         over = norms > OVERFLOW_THRESHOLD
         if over.any():
@@ -976,20 +1089,14 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
 
     before = None
     for i, (sel, a, b, _) in enumerate(chunks):
-        before, kept[i] = second_pass(sel, a, b, kept[i], before), None
+        if redo[sel].any():
+            before = second_pass(sel, a, b, kept[i], before)
+        kept[i] = None
     x_end, rec_raw = x_out[:, -1].copy(), x_out[:, :-1]
 
-    # a path stops at its first norm over the threshold, in a lone path's
-    # order: a segment's steps, the pre-jump state, the post-jump state; a
-    # stopped path's sup is the norm that stopped it
-    pre_norms = _norms(x_pre)
-    post_norms = _norms(x_post, pointwise=True)
+    # the sup counts the states at the jumps too; a stopped path's sup is
+    # the norm that stopped it
     sup = np.fmax(sup, np.fmax.reduce(np.fmax(pre_norms, post_norms), axis=1, initial=0.0))
-    pre_over = pre_norms > OVERFLOW_THRESHOLD
-    jump_over = np.empty((n_paths, n_jumps + 1), dtype=bool)
-    jump_over[:, -1] = True
-    jump_over[:, :-1] = pre_over | (post_norms > OVERFLOW_THRESHOLD)
-    stop_jump = jump_over.argmax(axis=1)      # the first jump a path stopped at, else n_jumps
     exploded = (first >= 0) | (stop_jump < n_jumps)
     stop = steps.copy()
     n_applied = np.full(n_paths, n_jumps)
@@ -1205,14 +1312,13 @@ def simulate_ensemble(
     # one block per batch, sized as the integrator sizes them; a block's
     # stream bundles (about 3 kB each) live until its batch ends
     base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
-    block = _plan(base.size - 1 + rec.size, jump_times.size, spec.dim, _additive(spec))
+    block = _plan(spec, base.size - 1 + rec.size, jump_times.size, rec.size, False)
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         res = simulate_batch(spec, cfg, 0.0, horizon, spec.x0, spec.y0, spec.h0,
                              policy.path_streams_batch(range(lo, hi)), record_times=rec)
-        for p, (values, alive) in enumerate(zip(res.record_values, res.record_alive)):
-            sqv = np.einsum("ij,ij->i", values, values)
-            per_path_sq[lo + p, alive] = sqv[alive]
+        sq = np.einsum("pij,pij->pi", res.record_values, res.record_values)
+        per_path_sq[lo:hi][res.record_alive] = sq[res.record_alive]
         sups_all[lo:hi] = res.sup_norm
         n_exploded += int(np.count_nonzero(res.exploded))
 

@@ -606,13 +606,15 @@ class DerivedConstants:
 def derive_constants(spec: SystemSpec) -> DerivedConstants:
     """Closed-form growth/Lipschitz constants for a declarative spec.
 
-    Raises :class:`UnsupportedFamily` for a custom jump sequence whose
-    user-supplied constants are missing or end before the last realized jump.
+    Raises :class:`UnsupportedFamily` for a custom jump sequence whose maps
+    or user-supplied constants are missing or end before the last realized
+    jump.
     """
     jump = spec.jump
     n = spec.realization().t.size
     if jump.kind == "custom-sequence" and n:
         # the first index past each sequence's end, if it is realized, is refused
+        jump._map_at(min(n, len(jump.maps) + 1))
         jump.lipschitz_sq(min(n, len(jump.l_seq or ()) + 1))
         jump.sup_norm(min(n, len(jump.gamma_seq or ()) + 1))
     lin_sq = spec.drift.max_linear_sq() + spec.diffusion.max_linear_sq()

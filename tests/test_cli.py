@@ -90,6 +90,19 @@ def test_check_exit_codes(tmp_path, capsys):
     assert "witness" in out             # jump moment witness printed
 
 
+def test_check_refuses_a_custom_sequence_whose_maps_end_before_the_last_jump(tmp_path, capsys):
+    # case2 realizes 200 jumps; the constants cover them, the maps stop at 100
+    cfg = build_preset("case2")
+    cfg["jump"] = {"kind": "custom-sequence", "maps": [[-0.5, 0.0]] * 100,
+                   "l_seq": [0.25] * 240, "gamma_seq": [0.5 ** k for k in range(1, 241)]}
+    path = tmp_path / "short-maps.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["check", "--config", str(path)]) == EXIT_CONFIG
+    assert "custom-sequence has no map for k=101" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "custom-sequence has no map for k=101" in capsys.readouterr().err
+
+
 def test_check_intro_skips_stability_section(capsys):
     assert main(["check", "--preset", "intro"]) == EXIT_FINDING
     out = capsys.readouterr().out

@@ -598,7 +598,7 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     additive = simulate._additive(spec)
     # one block, one chunk: a group of all six whole paths
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 30)
-    assert simulate._plan(width, base_jidx.size, spec.dim, additive) >= n
+    assert simulate._plan(spec, width, base_jidx.size, rec.size, True) >= n
     whole = simulate_batch(spec, cfg, 0.0, t1, spec.x0, y, spec.h0,
                            [streams_of(j) for j in range(n)], **kw)
     # each path alone, in chunks of span steps
@@ -608,7 +608,8 @@ def test_full_horizon_paths_in_chunks_match_lone_and_one_chunk_runs(monkeypatch,
     # a lone path whose one chunk holds all its steps keeps its products
     monkeypatch.setattr(simulate, "_WORK_BYTES", 3 * width // 2 * 128 * spec.dim)
     assert simulate._kept_bytes(width, spec.dim, additive) \
-        + simulate._jump_bytes(base_jidx.size, spec.dim) <= 2 * simulate._WORK_BYTES
+        + simulate._jump_bytes(base_jidx.size, rec.size, spec.dim, False) \
+        <= 2 * simulate._WORK_BYTES
     lone = simulate_batch(spec, cfg, 0.0, t1, spec.x0, np.broadcast_to(y, n)[0], spec.h0,
                           [streams_of(0)], **kw)
     for name_ in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
@@ -642,16 +643,17 @@ def test_full_horizon_batch_work_memory_stays_near_the_budget():
 
 
 def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
-    # _plan sizes blocks of this window by its 50-step shared grid, so all
-    # 200 paths are one block; a chain of rate 1e4 adds about 500 switch
-    # times to each path, and the block runs in groups of about 13 of them
+    # _plan sizes blocks of this jump-free window by its paths' summaries,
+    # so all 200 paths are one block; a chain of rate 1e4 adds about 500
+    # switch times to each path, and the block runs in groups of about 13 of
+    # them
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
     spec = spec_from_dict(preset)
     cfg = IntegratorConfig()
     t0, t1 = 1.0, 1.05
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) == 4369
+    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) == 21845
     pol = RngPolicy(12)
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
@@ -672,7 +674,7 @@ def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
 
 def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monkeypatch):
     # about 500 switch times a path: a quarter-MiB budget holds those of 16
-    # paths, though _plan sizes the block by its 50-step shared grid
+    # paths, though _plan sizes the block by its paths' summaries
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
     spec = spec_from_dict(preset)
@@ -682,7 +684,7 @@ def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monk
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 18)
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(base.size - 1, jump_times.size, spec.dim, False) >= 200
+    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) >= 200
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
     tracemalloc.start()
     try:
@@ -877,39 +879,51 @@ def test_batch_refuses_a_start_regime_out_of_range_before_any_path_draws(bad):
 MEANSQ_GRID = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
 
 
-def _window_plan(spec, t0, t1, dt_max, n_rec):
+def _window_plan(spec, t0, t1, dt_max, n_rec, collect_path=False):
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, dt_max)[:2]
-    return simulate._plan(base.size - 1 + n_rec, jump_times.size, spec.dim,
-                          simulate._additive(spec))
+    return simulate._plan(spec, base.size - 1 + n_rec, jump_times.size, n_rec, collect_path)
 
 
 def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
-    # a block keeps its paths' products within twice the budget; its chunks
-    # are groups of as many whole paths as 8,192 steps hold
+    # a summarized window's block is as many paths as twice the budget holds
+    # of their state at each jump (80 bytes with the segment's largest
+    # product) and 16 bytes per state returned, however long its segments
     case2 = spec_from_dict(build_preset("case2"))
-    # a supermartingale segment (k = 5): 34 steps, one jump, in groups of 240
-    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == 4946
-    # criterion 03: 1,000 jump-free steps and one record time, in groups of 8
-    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == 259
-    # the mean-square probe over case2's horizon: 5,162 steps, 200 jumps,
-    # 37 paths' products kept, each path its own chunk
-    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == 37
-    # the probability probe's window on case1: 100 jumps over 2,053 steps,
-    # in groups of 3
+    # a supermartingale segment (k = 5): 34 steps, one jump
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == 2 ** 21 // (2 * 80 + 16) == 11915
+    # criterion 03: 1,000 jump-free steps and one record time
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == 2 ** 21 // (80 + 32) == 18724
+    # the mean-square probe over case2's horizon: 200 jumps, so 200 paths
+    # run in 2 blocks, at dt_max = 1e-3 (5,162 steps) and at 1e-4 (50,108)
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == 2 ** 21 // (201 * 80 + 96) \
+        == _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 129
+    # the probability probe's window on case1: 100 jumps
     case1 = spec_from_dict(build_preset("case1"))
-    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 88
-    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1) < 88
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 258
+
+    # collected paths keep their products within twice the budget; their
+    # chunks are groups of as many whole paths as 8,192 steps hold
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0, True) == 4946  # groups of 240
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1, True) == 259  # in groups of 8
+    # 37 paths' products kept, each path its own chunk
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size, True) == 37
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1, True) == 88  # in groups of 3
     # at dt_max = 1e-4 the 50,108-step window keeps 5 paths' products, each
     # path in chunks of 8,192 steps: their 250,540 steps redrawn would cost
     # more than 200 more loop iterations
-    assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 5
-    # with 1,000 jumps 4 kept paths hold 200 steps per jump, enough; with
-    # 2,000 jumps 3 are too few: blocks are as many paths as the budget
-    # holds of their per-jump state, and the rest draw again
-    assert simulate._plan(50_000, 1000, 1, False) == 4
-    assert simulate._plan(50_000, 2000, 1, False) == simulate._WORK_BYTES // (2001 * 72) == 7
+    assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size, True) == 5
+    # so do paths with an additive part or more than one coordinate
+    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1) < 88
+    dim2 = _dim2_spec()
+    # 2 kept paths of 50,000 steps hold 200 steps per jump of 500, enough;
+    # per jump of 1,000 they are too few: blocks are as many paths as the
+    # budget holds of their per-jump state (96 bytes a jump), and the rest
+    # draw again
+    assert simulate._plan(dim2, 50_000, 500, 0, False) == 2
+    assert simulate._plan(dim2, 50_000, 1000, 0, False) \
+        == simulate._WORK_BYTES // (1001 * 96) == 10
     # one path's products past twice the budget: its normals are drawn again
-    assert simulate._plan(300_000, 0, 1, False) == simulate._WORK_BYTES // 72
+    assert simulate._plan(dim2, 150_000, 0, 0, False) == simulate._WORK_BYTES // 96
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["products", "walked"])
@@ -930,14 +944,14 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
         base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, t1, cfg.dt_max)[:2]
         width = base.size - 1 + rec.size
         kept = simulate._kept_bytes(width, spec.dim, False)
-        state = simulate._jump_bytes(jump_times.size, spec.dim)
+        state = simulate._jump_bytes(jump_times.size, rec.size, spec.dim, True)
         runs = {}
         for mode in modes:
             budget = {"one group": 2 ** 30, "some kept": (5 * kept + 10 * state) // 4,
                       "drawn again": 2 * width,
                       "some groups kept": 5 * width // 2 * 128}.get(mode, simulate._WORK_BYTES)
             monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
-            block = simulate._plan(width, jump_times.size, spec.dim, False)
+            block = simulate._plan(spec, width, jump_times.size, rec.size, False)
             if mode == "one group":
                 assert block >= n
             elif mode == "kept":
@@ -970,6 +984,144 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
                 for name in ("marks", "x_before", "x_after"):
                     assert getattr(res, name)[p, :k].tobytes() \
                         == getattr(whole, name)[p, :k].tobytes(), (mode, name)
+
+
+# ---------------------------------------------------------------------------
+# summarized windows against the per-column pass, which a collected path
+# always takes
+# ---------------------------------------------------------------------------
+
+def _stiff_spec():
+    # regime 1's step factors are about 0.2 at dt_max = 2e-3: its paths walk
+    cfg = build_preset("case2")
+    cfg["drift"]["values"] = [-400.0, 0.5]
+    return spec_from_dict(cfg)
+
+
+def _zeroing_spec():
+    # regime 1 shrinks the products by about 1e-111 per unit of time, and
+    # regime 2, which absorbs, grows them by about 1e73; the jump at 1.5
+    # sends every state to 0, so a path that switches late enough has a
+    # segment whose largest product over its start's overflows: 0 * inf
+    return make_spec(drift={"values": [-200.0, 200.0]}, diffusion={"values": [0.0, 0.0]},
+                     xi_generator={"q": [[-1.0, 1.0], [0.0, 0.0]]},
+                     jump={"kind": "custom-sequence", "maps": [[-1.0, 0.0]]},
+                     schedule={"kind": "explicit-list", "times": [1.5]})
+
+
+def _assert_summary_matches_collected(spec, cfg, t0, t1, n, streams_of, rec):
+    """Paths 0..n-1 summarized and collected: every result field but the
+    paths is the same, the jump records up to the jumps each path applied."""
+    assert simulate._summarized(spec, False) and not simulate._summarized(spec, True)
+    runs = [simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0,
+                           [streams_of(j) for j in range(n)], record_times=rec, collect_path=c)
+            for c in (False, True)]
+    for name in BATCH_FIELDS + ("n_jumps", "jump_times", "jump_ks", "record_values",
+                                "record_alive"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+    for p, k in enumerate(runs[0].n_jumps.tolist()):
+        for name in ("marks", "x_before", "x_after"):
+            assert getattr(runs[0], name)[p, :k].tobytes() \
+                == getattr(runs[1], name)[p, :k].tobytes(), (name, p)
+    return runs[0]
+
+
+# name: (spec, window, dt_max, paths, bundles of path j, record times)
+SUMMARIZED_WINDOWS = {
+    # two summarized blocks, of 129 paths and 1
+    "case2-blocks": (lambda: spec_from_dict(build_preset("case2")), (0.0, 5.0), 1e-3, 130,
+                     RngPolicy(41).path_streams, MEANSQ_GRID),
+    # paths pass the threshold at jumps, in groups whose products are not
+    # kept
+    "case3": (lambda: spec_from_dict(build_preset("case3")), (0.0, 5.0), 1e-3, 150,
+              RngPolicy(42).path_streams, MEANSQ_GRID),
+    # every path stops at the first jump, where its map multiplies it by
+    # about 1e13; its later segments pass the threshold too
+    "stop-at-jump": (lambda: make_spec(diffusion={"values": [0.3]},
+                                       jump={"kind": "custom-sequence", "maps": [[1e13, 0.0]] * 2},
+                                       schedule={"kind": "explicit-list", "times": [0.5, 1.0]}),
+                     (0.0, 2.0), 1e-3, 20, RngPolicy(43).path_streams, np.array([0.25, 1.5])),
+    # paths of regime 1 pass the threshold inside segments
+    "inside-segments": (lambda: make_spec(drift={"values": [30.0, -1.0]},
+                                          diffusion={"values": [0.5, 0.5]},
+                                          xi_generator={"q": [[-2.0, 2.0], [2.0, -2.0]]},
+                                          jump={"kind": "custom-sequence",
+                                                "maps": [[-0.5, 0.0]] * 3},
+                                          schedule={"kind": "explicit-list",
+                                                    "times": [0.5, 1.0, 1.5]}),
+                        (0.0, 2.0), 1e-3, 30, RngPolicy(49).path_streams, np.array([0.7, 1.2])),
+    "stiff": (_stiff_spec, (0.0, 5.0), 2e-3, 20, RngPolicy(44).path_streams, MEANSQ_GRID),
+    # one path in chunks of 8,192 of its 50,108 steps
+    "lone-chunks": (lambda: spec_from_dict(build_preset("case2")), (0.0, 5.0), 1e-4, 1,
+                    RngPolicy(45).path_streams, MEANSQ_GRID),
+    # groups of many whole short paths
+    "short": (lambda: spec_from_dict(build_preset("case2")), (1.5, 1.83), 1e-3, 40,
+              lambda j: RngPolicy(46).aux_streams(2, j), np.array([1.5, 1.7, 1.83])),
+    "short-jumps": (lambda: spec_from_dict(build_preset("case2")), (1.0, 1.7), 1e-3, 40,
+                    RngPolicy(47).path_streams, np.array([1.2, 1.5])),
+    "zeroing": (_zeroing_spec, (0.0, 8.0), 2e-3, 60, RngPolicy(3).path_streams,
+                np.array([1.0, 1.5, 4.0, 8.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(SUMMARIZED_WINDOWS))
+def test_summarized_windows_match_the_per_column_pass(name):
+    make, (t0, t1), dt_max, n, streams_of, rec = SUMMARIZED_WINDOWS[name]
+    spec = make()
+    res = _assert_summary_matches_collected(spec, IntegratorConfig(dt_max=dt_max), t0, t1, n,
+                                            streams_of, rec)
+    if name == "case3":
+        assert res.exploded.all() and (res.n_jumps < res.jump_ks.size).any()
+        # the block's summaries leave twice the budget no room for one
+        # path's products
+        base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, dt_max)[:2]
+        width = base.size - 1 + rec.size
+        block = simulate._plan(spec, width, jump_times.size, rec.size, False)
+        assert block < n
+        assert block * simulate._jump_bytes(jump_times.size, rec.size, 1, True) \
+            + simulate._kept_bytes(width, 1, False) > 2 * simulate._WORK_BYTES
+    elif name == "inside-segments":
+        exploded = res.exploded.nonzero()[0]
+        inside = ~np.isin(res.explosion_time[exploded], res.jump_times)
+        assert inside.any() and not res.exploded.all()
+    elif name == "stop-at-jump":
+        assert res.exploded.all() and (res.n_jumps == 1).all()
+    elif name == "zeroing":
+        # a live path whose end state is 0 * inf
+        assert np.isnan(res.x_end[~res.exploded]).any()
+
+
+def test_every_path_walked_matches_the_per_column_pass(monkeypatch):
+    # every path whose products are not all 1 walks
+    monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
+    spec = spec_from_dict(build_preset("case2"))
+    for t0, t1, n in ((0.0, 5.0, 6), (1.0, 1.7, 30)):
+        _assert_summary_matches_collected(spec, IntegratorConfig(), t0, t1, n,
+                                          RngPolicy(48).path_streams, np.array([t0, t1]))
+
+
+def test_only_paths_whose_bounds_may_pass_the_threshold_take_the_per_column_pass(monkeypatch):
+    # the per-column pass measures each chunk of a path's states, where the
+    # impulse loop's norms have one column per jump: a zeroing path that
+    # switches between 1.9 and 2.2 keeps its products within the walk's
+    # range, and its bound after the jump is 0 * inf = NaN; a case2 path
+    # has bounds that are numbers below the threshold
+    shapes = []
+    norms = simulate._norms
+    monkeypatch.setattr(simulate, "_norms",
+                        lambda v, pointwise=False: shapes.append(v.shape) or norms(v, pointwise))
+    zeroing, pol = _zeroing_spec(), RngPolicy(3)
+    switch = [sample_ctmc(zeroing.xi_chain, 1, 8.0, pol.path_streams(j).chain).switch_times
+              for j in range(60)]
+    p = next(j for j, sw in enumerate(switch) if sw.size and 1.9 < sw[0] < 2.2)
+    case2 = spec_from_dict(build_preset("case2"))
+    for spec, t1, dt_max, streams, per_column in ((zeroing, 8.0, 2e-3, pol.path_streams(p), True),
+                                                  (case2, 1.7, 1e-3, pol.path_streams(0), False)):
+        shapes.clear()
+        res = simulate_batch(spec, IntegratorConfig(dt_max=dt_max), 0.0, t1, spec.x0, spec.y0,
+                             spec.h0, [streams])
+        assert not res.exploded[0] and np.isnan(res.x_end[0, 0]) == per_column
+        assert (max(shape[1] for shape in shapes) > res.jump_ks.size) == per_column
 
 
 @pytest.mark.parametrize("master_seed", [0, 11, 2**32, 2**64 + 7, 2**96 - 3])

@@ -25,6 +25,9 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   products of only their first groups.  Every result field, each path's
   jump records up to the jumps it applied, and each live path's generator
   states after the window
+- ``simulate_batch`` under the default budget on case3 and the stiff
+  system over (0, 5] with 150 and 140 paths, whose blocks hold groups that
+  do not keep their products, with both kinds of bundles
 - ``simulate_ensemble`` and ``simulate_path`` on the four presets, the
   four mark and jump variants and the two explicit lists
 - the mean-square, probability and blow-up probes, and the segment bound
@@ -39,7 +42,8 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
 - the CLI's files (manifests without ``created_at``), stdout and exit code
   for ``simulate``, ``rerun``, ``check`` (with and without ``--eps-search``)
   and every ``probe`` kind, and ``check`` on ``custom-sequence`` configs
-  whose ``l_seq``/``gamma_seq`` cover the schedule or stop short of it
+  whose maps and ``l_seq``/``gamma_seq`` cover the schedule or stop short
+  of it
 
 ``--quick`` keeps one seed.  Floats are hashed by their exact bits; a case
 that raises is hashed by its exception's type and message.
@@ -65,6 +69,9 @@ WINDOWS = ((1.0, 1.7), (1.5, 1.83), (0.0, 1.99), (0.0, 5.0))
 # name: work budget in bytes (None for the package's own), paths per batch
 BUDGETS = (("default", None, 7), ("one-chunk", 2 ** 30, 7), ("kept", 300 * 128, 7),
            ("drawn-again", 2 ** 12, 7), ("groups", 3 * 2 ** 18, 60))
+# scalar windows over (0, 5] under the package's own budget whose blocks hold
+# groups that do not keep their products: spec name, paths per batch
+LARGE_BATCHES = (("case3", 150), ("stiff", 140))
 # rows per batch of the nested Monte Carlo estimators in the small-cap cases
 SMALL_CAP = 7
 # case2 with another jump family or mark chain: name, jump, eta_transition
@@ -92,10 +99,11 @@ EXPLICIT_SCHEDULES = (
 # backwards, some need a jump past the last kept one, and on explicit-kmax
 # [3, 5] the sweep also stops at t_6, which comes before t_3
 EXPLICIT_K_RANGES = ([1, 5, 8], [3, 5], [1, 6, 9, 10], [2], [8, 9])
-# custom-sequence constants for check: name, length of l_seq, of gamma_seq
-# (None leaves it out); case2 realizes 200 jumps
-CUSTOM_CONSTANTS = (("covered", 240, 240), ("l-short", 100, 240), ("gamma-short", 240, 150),
-                    ("both-short", 100, 150), ("none", None, None))
+# custom-sequence configs for check: name, number of maps, length of l_seq,
+# of gamma_seq (None leaves it out); case2 realizes 200 jumps
+CUSTOM_CONSTANTS = (("covered", 240, 240, 240), ("l-short", 240, 100, 240),
+                    ("gamma-short", 240, 240, 150), ("both-short", 240, 100, 150),
+                    ("none", 240, None, None), ("maps-short", 100, 240, 240))
 
 
 def canon(value, out: list) -> None:
@@ -200,6 +208,22 @@ def batch_cases(z, all_specs, seeds):
                             yield (f"batch/{budget_name}/{name}/{t0:g}-{t1:g}/{seed}/{kind}", res)
         finally:
             simulate._WORK_BYTES = own_budget
+    for name, n in LARGE_BATCHES:
+        spec = all_specs[name]
+        y = [1 + j % spec.n_regimes for j in range(n)]
+        rec = np.array([0.0, 2.5, 5.0])
+        for seed in seeds:
+            policy = simulate.RngPolicy(seed)
+            for kind in ("path", "aux"):
+                if kind == "path":
+                    streams = policy.path_streams_batch(range(n))
+                else:
+                    streams = policy.aux_streams_batch(6, [(j, 1) for j in range(n)])
+                res = outcome(simulate.simulate_batch, spec, cfg, 0.0, 5.0, spec.x0, y, spec.h0,
+                              streams, record_times=rec)
+                if isinstance(res, simulate.BatchResult):
+                    res = path_results(res, streams)
+                yield f"batch/default-{n}/{name}/0-5/{seed}/{kind}", res
 
 
 def path_results(res, streams) -> dict:
@@ -329,9 +353,9 @@ def cli_cases(z, seeds):
                  for name in ("case1", "case2", "case3", "intro")]
     with tempfile.TemporaryDirectory() as tmp:
         maps = dict((v[0], v[1]) for v in MARK_AND_JUMP_VARIANTS)["jump-custom"]["maps"]
-        for name, n_l, n_gamma in CUSTOM_CONSTANTS:
+        for name, n_maps, n_l, n_gamma in CUSTOM_CONSTANTS:
             cfg = z.cli.build_preset("case2")
-            cfg["jump"] = {"kind": "custom-sequence", "maps": maps}
+            cfg["jump"] = {"kind": "custom-sequence", "maps": maps[:n_maps]}
             if n_l is not None:
                 cfg["jump"]["l_seq"] = [s * s for s, _ in maps[:n_l]]
             if n_gamma is not None:
