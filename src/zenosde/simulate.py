@@ -670,13 +670,14 @@ def _plan(spec: SystemSpec, width: int, n_jumps: int, n_rec: int, collect_path: 
 
     A block's paths share one impulse loop, and run in chunks of whole
     paths (see :func:`simulate_batch`).  A summarized window's block is as
-    many paths as twice ``_WORK_BYTES`` holds of their per-jump state and
-    summaries.  Otherwise each chunk runs twice: once for the products at
-    the jumps, and once, after the impulses, for the states.  The first
-    pass keeps each chunk's products (``8 * dim`` bytes per step, twice that
-    with the sums of an additive family) for the second, and a block is as
-    many paths as twice ``_WORK_BYTES`` holds of them with their per-jump
-    state.
+    many paths as twice ``_WORK_BYTES`` holds of their per-jump state,
+    summaries and what each holds until the block ends (see
+    :func:`_jump_bytes`).  Otherwise each chunk runs twice: once for the
+    products at the jumps, and once, after the impulses, for the states.
+    The first pass keeps each chunk's products (``8 * dim`` bytes per step,
+    twice that with the sums of an additive family) for the second, and a
+    block is as many paths as twice ``_WORK_BYTES`` holds of them with their
+    per-jump state.
     Such a block is small when the window is long, and every block pays one
     loop iteration per jump, which costs about as much as drawing
     ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept block's
@@ -705,11 +706,16 @@ def _kept_bytes(steps, dim: int, additive: bool):
 
 
 def _jump_bytes(n_jumps: int, n_rec: int, dim: int, summarized: bool) -> int:
-    """Bytes of a path's state at each jump, held through the impulse loop;
-    a summarized path also holds its segments' largest products and the
-    products and columns of the states it returns."""
+    """Bytes of a path's state at each jump, held through the impulse loop.
+    A summarized path also holds its segments' largest products, the
+    products and columns of the states it returns, and 3 kB however short
+    its window: its stream bundle, which :func:`simulate_ensemble` derives
+    for each block (about 2.4 kB), and its generator's state, saved for a
+    second draw (about 0.6 kB)."""
     held = (n_jumps + 1) * (24 * dim + 48)
-    return held + 8 * (n_jumps + 1) + 16 * (n_rec + 1) if summarized else held
+    if not summarized:
+        return held
+    return held + 8 * (n_jumps + 1) + 16 * (n_rec + 1) + 3072
 
 
 def _summarized(spec: SystemSpec, collect_path: bool) -> bool:
@@ -801,11 +807,14 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         if p not in inserted:
             return grid
         at, sw = inserted[p]
-        edges = [0, *at.tolist(), grid.size]
-        parts = [grid[: edges[1]]]
-        for i, t in enumerate(sw[:, None]):
-            parts += [t, grid[edges[i + 1] : edges[i + 2]]]
-        return np.concatenate(parts)
+        # switch time i goes before grid point at[i], so i places further on
+        pos = at + np.arange(at.size)
+        out = np.empty(grid.size + at.size)
+        out[pos] = sw
+        on_grid = np.ones(out.size, dtype=bool)
+        on_grid[pos] = False
+        out[on_grid] = grid
+        return out
 
     def bounds_of(sel, a, b):
         """Columns ``a..b`` of the grids of paths ``rows[sel]``, each padded
@@ -910,35 +919,31 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         for p in rows[sel][steps[sel] <= b].tolist():
             streams[p].mark.random(out=u_mark[p])
         prod, cum = products(m_fac, u_add, a, carry)
-        absp = np.abs(prod)
+        # |prod|, then one 0, where each segment that starts past b points
+        flat = np.empty(prod.size + 1)
+        flat[-1] = 0.0
+        absp = np.abs(prod, out=flat[:-1].reshape(prod.shape))
         if absp.min() < 1.0 / _CASCADE_LIMIT or absp.max() > _CASCADE_LIMIT:
             needs_walk[sel] |= (absp.min(axis=(1, 2)) < 1.0 / _CASCADE_LIMIT) \
                 | (absp.max(axis=(1, 2)) > _CASCADE_LIMIT)
-        jj, st = cols[sel] - a, starts[sel]
-        pos = np.maximum(st, a) - a + (b - a + 1) * np.arange(st.shape[0])[:, None]
-        if a == 0 and b - a < limit:
-            # the group's one chunk holds every column kept and every segment
-            g = np.arange(jj.shape[0])[:, None]
-            p_cols[sel, 1:] = prod[g, jj]
-            if cum is not None:
-                c_start[sel, 1:] = cum[g, jj]
-            if summarized:
-                seg_max[sel] = np.maximum.reduceat(absp.ravel(), pos.ravel()).reshape(st.shape)
-        else:
-            # the columns kept in a..b; one at a was kept by the chunk before,
-            # and is the same there
-            inside = (jj >= 0) & (jj <= b - a)
-            pp, jc = inside.nonzero()[0], jj[inside]
-            p_cols[sel, 1:][inside] = prod[pp, jc]
-            if cum is not None:
-                c_start[sel, 1:][inside] = cum[pp, jc]
-            if summarized:
-                # each segment's columns in a..b run on from where the one
-                # before ends, in path order; a segment split between chunks
-                # meets itself again in fmax
-                live = (st <= b) & (ends[sel] > a)
-                seg = seg_max[sel]
-                seg[live] = np.fmax(seg[live], np.maximum.reduceat(absp.ravel(), pos[live]))
+        # the columns kept in a..b; one at a was kept by the chunk before,
+        # and is the same there
+        g = rows[: prod.shape[0], None]
+        jj = cols[sel] - a
+        jc = np.minimum(np.maximum(jj, 0), b - a)
+        inside = (jc == jj)[..., None]
+        np.copyto(p_cols[sel, 1:], prod[g, jc], where=inside)
+        if cum is not None:
+            np.copyto(c_start[sel, 1:], cum[g, jc], where=inside)
+        if summarized:
+            # each segment's columns in a..b run from its start, or a, up to
+            # the next one's start, or past b; a segment split between chunks
+            # meets itself again
+            st = starts[sel]
+            pos = np.minimum(np.maximum(st, a), b + 1)
+            pos += (b - a + 1) * g - a
+            most = np.maximum.reduceat(flat, pos.ravel()).reshape(st.shape)
+            np.maximum(seg_max[sel], most, out=seg_max[sel], where=(st <= b) & (ends[sel] > a))
         return m_fac, u_add, prod, cum
 
     kept, chunk_of = [], {}
@@ -1310,7 +1315,8 @@ def simulate_ensemble(
     sups_all = np.empty(n_paths)
     n_exploded = 0
     # one block per batch, sized as the integrator sizes them; a block's
-    # stream bundles (about 3 kB each) live until its batch ends
+    # stream bundles live until its batch ends, and a summarized block
+    # counts them
     base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
     block = _plan(spec, base.size - 1 + rec.size, jump_times.size, rec.size, False)
     for lo in range(0, n_paths, block):

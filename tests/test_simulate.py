@@ -643,17 +643,18 @@ def test_full_horizon_batch_work_memory_stays_near_the_budget():
 
 
 def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
-    # _plan sizes blocks of this jump-free window by its paths' summaries,
-    # so all 200 paths are one block; a chain of rate 1e4 adds about 500
-    # switch times to each path, and the block runs in groups of about 13 of
-    # them
+    # _plan sizes blocks of this jump-free window by its paths' summaries
+    # and their 3 kB of bundle and saved state, so all 200 paths are one
+    # block; a chain of rate 1e4 adds about 500 switch times to each path,
+    # and the block runs in groups of about 13 of them
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
     spec = spec_from_dict(preset)
     cfg = IntegratorConfig()
     t0, t1 = 1.0, 1.05
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) == 21845
+    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) \
+        == 2 ** 21 // (96 + 3072) == 661
     pol = RngPolicy(12)
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
@@ -674,7 +675,7 @@ def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
 
 def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monkeypatch):
     # about 500 switch times a path: a quarter-MiB budget holds those of 16
-    # paths, though _plan sizes the block by its paths' summaries
+    # paths, though _plan's block, sized by its paths' summaries, holds 165
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
     spec = spec_from_dict(preset)
@@ -684,7 +685,7 @@ def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monk
     simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0, pol.aux_streams_batch(3, [(200,)]))
     monkeypatch.setattr(simulate, "_WORK_BYTES", 2 ** 18)
     base, jump_times = simulate._base_boundaries(spec.realization(), t0, t1, cfg.dt_max)[:2]
-    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) >= 200
+    assert simulate._plan(spec, base.size - 1, jump_times.size, 0, False) == 165
     streams = pol.aux_streams_batch(3, [(j,) for j in range(200)])
     tracemalloc.start()
     try:
@@ -699,6 +700,24 @@ def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monk
                                pol.aux_streams_batch(3, [(j,)]))
         for name in BATCH_FIELDS:
             assert getattr(batch, name)[j].tobytes() == getattr(alone, name)[0].tobytes(), (name, j)
+
+
+def test_ensemble_of_many_short_paths_holds_its_bundles_within_the_budget():
+    # a window with no jumps and one record time keeps 112 bytes of
+    # summaries a path; each path's stream bundle and saved generator state,
+    # about 3 kB, live until its block ends, so they size the block too
+    spec = make_spec(diffusion={"values": [0.3]})
+    cfg = IntegratorConfig()
+    rec = np.array([1.0])
+    simulate_ensemble(spec, cfg, 1.0, 20, RngPolicy(5), record_times=rec)
+    tracemalloc.start()
+    try:
+        simulate_ensemble(spec, cfg, 1.0, 3000, RngPolicy(5), record_times=rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of the 3,000 paths would hold about 9 MB of them
+    assert peak < 4 * simulate._WORK_BYTES
 
 
 def _jump_family_preset(name):
@@ -789,7 +808,8 @@ def test_batch_results_do_not_depend_on_what_the_heap_held():
 def test_a_window_draws_its_chain_then_its_normals_then_one_mark_uniform_per_jump(monkeypatch, budget):
     # an aliased bundle: one generator serves the chain, the normals and the
     # marks, so the order of the draws shows in the marks and the end state;
-    # the small budget runs the path in chunks, its normals drawn again from a copy
+    # the small budget runs the path in chunks of 40 steps, each continuing
+    # the products of the one before
     spec = spec_from_dict(build_preset("case2"))
     cfg = IntegratorConfig(dt_max=1e-2)
     t0, t1 = 0.5, 1.9
@@ -809,6 +829,32 @@ def test_a_window_draws_its_chain_then_its_normals_then_one_mark_uniform_per_jum
         marks.append(h)
     assert res.marks[0].tolist() == marks
     assert bundle.chain.bit_generator.state == ref.bit_generator.state
+
+
+def test_normals_drawn_again_from_a_copy_leave_an_aliased_bundle_as_one_draw(monkeypatch):
+    # the window above, collected under a budget too small to keep its
+    # products: the per-column pass draws the normals again from a copy of
+    # the generator set back, so the results and the bundle's one generator
+    # are those of the run that keeps its products and draws them once
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig(dt_max=1e-2)
+    kw = dict(record_times=np.array([1.0, 1.9]), collect_path=True)
+    runs, states = [], []
+    for budget in (None, 4 * 128):
+        if budget is not None:
+            monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
+        copies = []
+        copy_ = copy.copy
+        monkeypatch.setattr(copy, "copy", lambda obj: copies.append(obj) or copy_(obj))
+        bundle = RngPolicy(9).aux_streams_batch(4, [(0,)])[0]
+        runs.append(simulate_batch(spec, cfg, 0.5, 1.9, [0.5], 2, 1, [bundle], **kw))
+        states.append(bundle.chain.bit_generator.state)
+        monkeypatch.undo()
+        assert bool(copies) == (budget is not None)
+    for name in BATCH_FIELDS + ("marks", "x_before", "x_after", "record_values"):
+        assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+    _assert_paths_equal(runs[1].paths, runs[0].paths)
+    assert states[1] == states[0]
 
 
 @pytest.mark.parametrize("budget", [None, 40 * 128])
@@ -887,19 +933,22 @@ def _window_plan(spec, t0, t1, dt_max, n_rec, collect_path=False):
 def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
     # a summarized window's block is as many paths as twice the budget holds
     # of their state at each jump (80 bytes with the segment's largest
-    # product) and 16 bytes per state returned, however long its segments
+    # product), 16 bytes per state returned and 3 kB of stream bundle and
+    # saved generator state, however long its segments
     case2 = spec_from_dict(build_preset("case2"))
     # a supermartingale segment (k = 5): 34 steps, one jump
-    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) == 2 ** 21 // (2 * 80 + 16) == 11915
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0) \
+        == 2 ** 21 // (2 * 80 + 16 + 3072) == 645
     # criterion 03: 1,000 jump-free steps and one record time
-    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == 2 ** 21 // (80 + 32) == 18724
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1) == 2 ** 21 // (80 + 32 + 3072) == 658
     # the mean-square probe over case2's horizon: 200 jumps, so 200 paths
     # run in 2 blocks, at dt_max = 1e-3 (5,162 steps) and at 1e-4 (50,108)
-    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) == 2 ** 21 // (201 * 80 + 96) \
-        == _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 129
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size) \
+        == 2 ** 21 // (201 * 80 + 96 + 3072) \
+        == _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size) == 108
     # the probability probe's window on case1: 100 jumps
     case1 = spec_from_dict(build_preset("case1"))
-    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 258
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 187
 
     # collected paths keep their products within twice the budget; their
     # chunks are groups of as many whole paths as 8,192 steps hold
@@ -933,10 +982,13 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
     # path its own chunk, its products kept, kept for some paths of a block
     # only, and drawn again; the probability probe's window on case1 in
     # groups of 3 whole paths, kept, and in groups of 2 of which a block
-    # keeps only its first
+    # keeps only its first.  Each form runs summarized and collected; a
+    # collected path takes the per-column pass, which reads its kept
+    # products or draws its normals again from a copy of its generator
     cfg = IntegratorConfig()
     case1 = spec_from_dict(build_preset("case1"))
     case2 = spec_from_dict(build_preset("case2"))
+    copy_ = copy.copy
     for spec, t1, rec, n, modes in (
         (case2, 5.0, MEANSQ_GRID, 5, ("one group", "kept", "some kept", "drawn again")),
         (case1, 1.99, np.array([1.99]), 60, ("one group", "groups", "some groups kept")),
@@ -944,46 +996,57 @@ def test_plan_modes_give_the_same_bits(monkeypatch, walk):
         base, jump_times = simulate._base_boundaries(spec.realization(), 0.0, t1, cfg.dt_max)[:2]
         width = base.size - 1 + rec.size
         kept = simulate._kept_bytes(width, spec.dim, False)
-        state = simulate._jump_bytes(jump_times.size, rec.size, spec.dim, True)
         runs = {}
-        for mode in modes:
-            budget = {"one group": 2 ** 30, "some kept": (5 * kept + 10 * state) // 4,
-                      "drawn again": 2 * width,
-                      "some groups kept": 5 * width // 2 * 128}.get(mode, simulate._WORK_BYTES)
-            monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
-            block = simulate._plan(spec, width, jump_times.size, rec.size, False)
-            if mode == "one group":
-                assert block >= n
-            elif mode == "kept":
-                assert budget // 128 >= width and block >= n
-            elif mode == "groups":
-                assert budget // 128 // width == 3 and block >= n
-            elif mode == "some kept":
-                # twice the budget holds two of the block's five paths
-                monkeypatch.setattr(simulate, "_plan", lambda *args: n)
-            elif mode == "some groups kept":
-                # groups of 2; twice the budget holds the first, not all
-                assert budget // 128 // width == 2
-                assert n * state + 2 * kept < 2 * budget < n * (state + kept)
-                monkeypatch.setattr(simulate, "_plan", lambda *args: n)
-            else:
-                assert 2 * budget < kept and budget // 128 < width
-            if walk:
-                # every path whose products are not all 1 walks
-                monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
-            runs[mode] = _assert_batch_matches_alone(
-                spec, cfg, 0.0, t1, spec.x0, spec.y0, spec.h0, RngPolicy(15).path_streams, n,
-                record_times=rec)
-            monkeypatch.undo()
-        whole = runs.pop("one group")
-        for mode, res in runs.items():
+        for collect in (False, True):
+            state = simulate._jump_bytes(jump_times.size, rec.size, spec.dim, not collect)
+            for mode in modes:
+                budget = {"one group": 2 ** 30, "some kept": (5 * kept + 10 * state) // 4,
+                          "drawn again": 2 * width,
+                          "some groups kept": 5 * width // 2 * 128}.get(mode, simulate._WORK_BYTES)
+                monkeypatch.setattr(simulate, "_WORK_BYTES", budget)
+                block = simulate._plan(spec, width, jump_times.size, rec.size, collect)
+                if mode == "one group":
+                    assert block >= n
+                elif mode == "kept":
+                    assert budget // 128 >= width and block >= n
+                elif mode == "groups":
+                    assert budget // 128 // width == 3 and block >= n
+                elif mode == "some kept":
+                    # twice the budget holds two of the block's five paths
+                    monkeypatch.setattr(simulate, "_plan", lambda *args: n)
+                elif mode == "some groups kept":
+                    # groups of 2; twice the budget holds the first, not all
+                    assert budget // 128 // width == 2
+                    assert n * state + 2 * kept < 2 * budget < n * (state + kept)
+                    monkeypatch.setattr(simulate, "_plan", lambda *args: n)
+                else:
+                    assert 2 * budget < kept and budget // 128 < width
+                if walk:
+                    # every path whose products are not all 1 walks
+                    monkeypatch.setattr(simulate, "_CASCADE_LIMIT", 1.0)
+                # the generators copied to draw normals again
+                copies = []
+                monkeypatch.setattr(copy, "copy", lambda obj: copies.append(obj) or copy_(obj))
+                runs[collect, mode] = _assert_batch_matches_alone(
+                    spec, cfg, 0.0, t1, spec.x0, spec.y0, spec.h0, RngPolicy(15).path_streams, n,
+                    record_times=rec, collect_path=collect)
+                monkeypatch.undo()
+                if not walk:
+                    # no case1 or case2 path needs the per-column pass when
+                    # summarized; a collected one draws again where its
+                    # products are not kept
+                    drawn = collect and mode in ("some kept", "drawn again", "some groups kept")
+                    assert bool(copies) == drawn, (collect, mode)
+        whole = runs.pop((False, "one group"))
+        for (collect, mode), res in runs.items():
             for name in BATCH_FIELDS + ("n_jumps", "record_values", "record_alive"):
-                assert getattr(res, name).tobytes() == getattr(whole, name).tobytes(), (mode, name)
+                assert getattr(res, name).tobytes() == getattr(whole, name).tobytes(), \
+                    (collect, mode, name)
             for p in range(n):
                 k = res.n_jumps[p]
                 for name in ("marks", "x_before", "x_after"):
                     assert getattr(res, name)[p, :k].tobytes() \
-                        == getattr(whole, name)[p, :k].tobytes(), (mode, name)
+                        == getattr(whole, name)[p, :k].tobytes(), (collect, mode, name)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1091,7 @@ def _assert_summary_matches_collected(spec, cfg, t0, t1, n, streams_of, rec):
 
 # name: (spec, window, dt_max, paths, bundles of path j, record times)
 SUMMARIZED_WINDOWS = {
-    # two summarized blocks, of 129 paths and 1
+    # two summarized blocks, of 108 paths and 22
     "case2-blocks": (lambda: spec_from_dict(build_preset("case2")), (0.0, 5.0), 1e-3, 130,
                      RngPolicy(41).path_streams, MEANSQ_GRID),
     # paths pass the threshold at jumps, in groups whose products are not
