@@ -13,22 +13,17 @@ the (vanishingly rare) case of a degenerate cumulative product.
 
 :func:`simulate_batch` is the one integration primitive: it runs many paths
 over one window per call, and :func:`simulate_window` is its one-path case.
-It runs the paths in blocks that share one Python loop over the impulses,
-where each jump costs only its state recursion as arrays: every mark is
-stepped through all the window's jumps before the loop, and the impulse
-maps come from a table built once per window.  Each block runs through one
-loop over chunks of one form: a range of whole paths
-by a range of steps.  A chunk holds as many whole paths as one byte budget,
-``_WORK_BYTES``, holds of work arrays, switch times counted; a path that
-alone exceeds it runs by itself in chunks of steps.  A scalar path with no
-additive part and no collected states is summarized: its sup and returned
-states follow, bit for bit, from each segment's largest |product| and its
-products at the states it returns (see :func:`simulate_batch`).  Every other
-path takes a pass over its states after the impulse loop, and draws its
-normals once: the products of its chunks are kept for that pass, unless
-they would take the block's kept products past twice the budget, or a long
-window has so many jumps that blocks of paths whose products fit would make
-the impulse loop dearer than drawing them again.
+It runs the paths in blocks that share one Python loop over the impulses.
+A block's kernel, :func:`_integrate`, reads three seams, one per decision:
+:class:`_Draws` owns every draw, in a lone path's order, and the replay of
+normals; :func:`_step_factors` is the law of a step; :class:`_BlockGrid`
+owns the step grids, each path's columns (jumps', record times', and the
+switches' it finds once) and the chunks, each a range of whole paths by a
+range of steps within one byte budget, ``_WORK_BYTES``.  A scalar path with
+no additive part and no collected states is summarized: its sup and
+returned states follow, bit for bit, from each segment's largest |product|
+and its products at the states it returns.  Every other path takes a pass
+over its states after the impulse loop (see :func:`_plan`).
 """
 
 from __future__ import annotations
@@ -104,8 +99,7 @@ class IntegratorConfig:
         # a NaN step never ends the step loop
         if not 0 < self.dt_max < math.inf:
             raise ConfigInvalid("dt_max must be positive and finite")
-        if self.record_stride < 1:
-            raise ConfigInvalid("record_stride must be >= 1")
+        _sample_count(self.record_stride, "record_stride")
 
 
 @dataclass(frozen=True)
@@ -447,12 +441,17 @@ class _GridCache(dict):
         return arrays
 
 
-def _impulse_table(spec: SystemSpec, t0: float, t1: float, jump_ks: np.ndarray) -> tuple:
+def _impulse_table(spec: SystemSpec, t0: float, t1: float, jump_ks: np.ndarray, marks) -> tuple:
     """``spec.jump.coefficients(jump_ks)`` for the jumps ``jump_ks`` of the
-    window ``(t0, t1]``, cached on the spec by window."""
+    window ``(t0, t1]``, cached on the spec by window, with each path's gain
+    taken by its mark at each jump (``marks``) where the maps have one per mark."""
     cache = _GridCache.on(spec, "_impulse_cache")
     hit = cache.get((t0, t1))
-    return hit if hit is not None else cache.keep((t0, t1), spec.jump.coefficients(jump_ks))
+    gain, offset = hit if hit is not None else cache.keep((t0, t1), spec.jump.coefficients(jump_ks))
+    if gain is not None:
+        gain = (gain[np.arange(jump_ks.size)[:, None], marks.T - 1] if gain.shape[1] > 1
+                else gain)[..., None]
+    return gain, offset
 
 
 def _coeff_tables(spec: SystemSpec):
@@ -574,43 +573,29 @@ def simulate_batch(
 
     Path ``p`` starts from ``(x[p], y[p], h[p])`` (``x``, ``y`` and ``h``
     broadcast to ``(P, dim)``, ``(P,)``, ``(P,)``) and draws only from its
-    own bundle ``streams[p]``, in the order of a lone path: its regime chain,
-    then one normal per step and coordinate, then, in one call, one mark
-    uniform per jump of the window.  The chain's first holding time is drawn
-    first, by the rule :func:`sample_ctmc` uses, and only a chain that
-    switches inside the window is continued by a call to it.  Every arithmetic step
-    is the lone path's elementwise operation, so a path's result is bit for
-    bit the same in any batch, at any position.  Bundles must not be shared
-    between paths.  ``record_times`` must lie in ``[t0, t1]``; without
-    them the record arrays have no columns, ``(P, 0, dim)`` and ``(P, 0)``.
+    own bundle ``streams[p]``, in the order of a lone path (see
+    :class:`_Draws`).  Every arithmetic step is the lone path's elementwise
+    operation, so a path's result is bit for bit the same in any batch, at
+    any position.  Bundles must not be shared between paths.
+    ``record_times`` must lie in ``[t0, t1]``; without them the record
+    arrays have no columns, ``(P, 0, dim)`` and ``(P, 0)``.
 
-    Each path's step grid (the shared base grid plus its own switch and
-    record times) is padded to a common length with zero-length steps, whose
-    factor is exactly ``1 + a*0 + b*0*Z = 1``, so one ``cumprod`` along the
-    step axis gives every path's segment products.  A path whose products
-    leave ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` is walked step by step
-    instead.
-
-    The paths run in blocks (see :func:`_plan`) that share one impulse loop;
-    a block ends early where its regime chains' switch times pass
-    ``_WORK_BYTES``.  A block runs in chunks: a group of as many whole paths
-    as ``_WORK_BYTES`` holds of work arrays at the block's widest path,
-    switch times counted, or, when that path alone is past it, one path over
-    a range of its steps.  The first pass over them gives the products at
-    the jumps, and on a summarized window (see :func:`_summarized`) each
-    segment's largest |product|, its start's included, and the products at
-    the record times and the last step: division and multiplication round
-    monotonically and alike for both signs, so these give the sup and the
-    returned states.  A second pass, after the impulse loop, gives every
-    state of the chunks that hold a path that needs it: a walked path, or
-    one whose segment bound up to its stopping jump is past the threshold or
-    NaN, on a summarized window; every path otherwise.  The first pass keeps
-    each group's products and sums for the second while the block's kept
-    products fit twice ``_WORK_BYTES`` with its per-jump state; the groups
-    past that draw their normals again, from generators set back to their
-    state before the first draw.  ``cumprod`` and ``cumsum`` are sequential,
-    so continuing them from the previous chunk's last column gives the same
-    bits.
+    Every path's grid is padded to the block's widest with zero-length
+    steps, whose factor is exactly 1, so one ``cumprod`` along the step axis
+    gives every path's segment products; a path whose products leave
+    ``[1/_CASCADE_LIMIT, _CASCADE_LIMIT]`` is walked step by step instead.
+    The paths run in blocks (see :func:`_plan`) that share one impulse loop,
+    each in chunks (see :class:`_BlockGrid`).  The first pass over them
+    gives the products at the jumps, and on a summarized window (see
+    :func:`_summarized`) each segment's largest |product|, its start's
+    included, and the products at the record times and the last step:
+    division and multiplication round monotonically and alike for both
+    signs, so these give the sup and the returned states.  A second pass,
+    after the impulse loop, gives every state of the chunks that hold a path
+    that needs it: a walked path, or one whose segment bound up to its
+    stopping jump is past the threshold or NaN, on a summarized window;
+    every path otherwise.  ``cumprod`` and ``cumsum`` are sequential, so
+    continuing them from the previous chunk's last column gives the same bits.
     """
     if not -math.inf < t0 < t1 < math.inf:
         raise ConfigInvalid("window must be finite with positive length")
@@ -627,28 +612,17 @@ def simulate_batch(
         raise ConfigInvalid(f"record times must be finite and lie in the window [{t0!r}, {t1!r}]")
     base, jump_times, jump_ks, base_jidx = _base_boundaries(spec.realization(), t0, t1, cfg.dt_max)
     block = _plan(spec, base.size - 1 + rec.size, jump_times.size, rec.size, collect_path)
-    span, ys = t1 - t0, y.tolist()
+    ys = y.tolist()
     for y0 in dict.fromkeys(ys):  # distinct start regimes, in path order
         spec.xi_chain._check_state(y0)
     parts, lo = [], 0
     while lo < n_paths:
-        # a block's regime chains come first; it ends early once their switch
-        # times pass the budget: 32 bytes each, with the chain's states and
-        # the copy inserted in the path's grid
-        chains, held, hi = {}, 0, min(lo + block, n_paths)
-        for p in range(lo, hi):
-            t = _holding_time(spec.xi_chain, ys[p], streams[p].chain)
-            if t < span:
-                chain = chains[p - lo] = sample_ctmc(spec.xi_chain, ys[p], span,
-                                                     streams[p].chain, first=t)
-                held += 32 * chain.switch_times.size
-                if held > _WORK_BYTES:
-                    hi = p + 1
-                    break
+        draws = _Draws(spec, t1 - t0, ys[lo : lo + block], streams[lo : lo + block],
+                       jump_times.size)
+        hi = lo + draws.n
         with np.errstate(all="ignore"):  # an exploding path is a status, not a warning
             parts.append(_integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec,
-                                    x[lo:hi], y[lo:hi], h[lo:hi], streams[lo:hi], chains,
-                                    collect_path))
+                                    x[lo:hi], y[lo:hi], h[lo:hi], draws, collect_path))
         lo = hi
     if len(parts) == 1:
         return parts[0]
@@ -670,21 +644,20 @@ def _plan(spec: SystemSpec, width: int, n_jumps: int, n_rec: int, collect_path: 
 
     A block's paths share one impulse loop, and run in chunks of whole
     paths (see :func:`simulate_batch`).  A summarized window's block is as
-    many paths as twice ``_WORK_BYTES`` holds of their per-jump state,
-    summaries and what each holds until the block ends (see
-    :func:`_jump_bytes`).  Otherwise each chunk runs twice: once for the
-    products at the jumps, and once, after the impulses, for the states.
-    The first pass keeps each chunk's products (``8 * dim`` bytes per step,
-    twice that with the sums of an additive family) for the second, and a
-    block is as many paths as twice ``_WORK_BYTES`` holds of them with their
-    per-jump state.
-    Such a block is small when the window is long, and every block pays one
-    loop iteration per jump, which costs about as much as drawing
-    ``_STEPS_PER_JUMP`` steps of a path again.  So when the kept block's
-    steps are fewer than that per jump, or one path's products exceed twice
-    the budget, a block is as many paths as ``_WORK_BYTES`` holds of their
-    per-jump state (if more): its first groups keep their products, and the
-    rest draw their normals again for the second pass.
+    many paths as twice ``_WORK_BYTES`` holds of what each holds until the
+    block ends (see :func:`_jump_bytes`).  Otherwise each chunk runs twice:
+    once for the products at the jumps, and once, after the impulses, for
+    the states.  The first pass keeps each chunk's products (``8 * dim``
+    bytes per step, twice that with the sums of an additive family) for the
+    second, and a block is as many paths as twice ``_WORK_BYTES`` holds of
+    them with what each holds until the block ends.  Such a block is small
+    when the window is long, and every block pays one loop iteration per
+    jump, which costs about as much as drawing ``_STEPS_PER_JUMP`` steps of
+    a path again.  So when the kept block's steps are fewer than that per
+    jump, or one path's products exceed twice the budget, a block is as many
+    paths as ``_WORK_BYTES`` holds of what each holds (if more): its first
+    groups keep their products, and the rest draw their normals again for
+    the second pass.
 
     ``width`` cannot count switch times, drawn later; the paths that they
     push past the budget draw their normals again too.
@@ -706,16 +679,14 @@ def _kept_bytes(steps, dim: int, additive: bool):
 
 
 def _jump_bytes(n_jumps: int, n_rec: int, dim: int, summarized: bool) -> int:
-    """Bytes of a path's state at each jump, held through the impulse loop.
-    A summarized path also holds its segments' largest products, the
-    products and columns of the states it returns, and 3 kB however short
-    its window: its stream bundle, which :func:`simulate_ensemble` derives
-    for each block (about 2.4 kB), and its generator's state, saved for a
-    second draw (about 0.6 kB)."""
-    held = (n_jumps + 1) * (24 * dim + 48)
-    if not summarized:
-        return held
-    return held + 8 * (n_jumps + 1) + 16 * (n_rec + 1) + 3072
+    """Bytes a path holds until its block ends: its state at each jump, and
+    3 kB however short its window, its stream bundle, which
+    :func:`simulate_ensemble` derives for each block (about 2.4 kB), and its
+    generator's state, saved for a second draw (about 0.6 kB).  A summarized
+    path also holds its segments' largest products, and the products and
+    columns of the states it returns."""
+    held = (n_jumps + 1) * (24 * dim + 48) + 3072
+    return held + summarized * (8 * (n_jumps + 1) + 16 * (n_rec + 1))
 
 
 def _summarized(spec: SystemSpec, collect_path: bool) -> bool:
@@ -736,189 +707,254 @@ def _rows(value, shape, dtype) -> np.ndarray:
     return out
 
 
-def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, y, h, streams,
-               chains, collect_path) -> BatchResult:
-    """One block of :func:`simulate_batch`; ``chains`` holds the chains that switch, by path."""
-    n_paths, dim = x.shape
-    n_jumps = jump_times.size
-    rows = np.arange(n_paths)
+class _Draws:
+    """A block's draws, each path's from its own bundle in a lone path's
+    order: its regime chain (its first holding time by :func:`sample_ctmc`'s
+    rule, continued by a call to it only if it switches in the window), its
+    normals chunk by chunk, then its mark uniforms in one call.  The block
+    ends early, after ``n`` paths, where their switch times pass
+    ``_WORK_BYTES``: 48 bytes each, with the chain's states, the copy
+    inserted in the path's grid, and the column and state the grid keeps.
+    Normals drawn again come from a copy of the path's generator set back
+    to its saved state."""
 
-    # the shared grid is the base grid plus the record times; a path's own
-    # grid also holds its switch times, inserted where they are not on it
-    grid, gj = base, base_jidx
-    if rec.size:  # a window without record times does not sort its grid again
-        grid = np.unique(np.concatenate((base, rec)))
-        gj = np.searchsorted(grid, jump_times)
-    gr = np.searchsorted(grid, rec)
-    # per path: each segment's first column (0, then each jump's), then the
-    # columns of the states returned (each record time's, then the last)
-    at_cols = np.zeros((n_paths, n_jumps + rec.size + 2), dtype=np.int64)
-    starts, jidx = at_cols[:, : n_jumps + 1], at_cols[:, 1 : n_jumps + 1]
-    ridx, out_cols = at_cols[:, n_jumps + 1 : -1], at_cols[:, n_jumps + 1 :]
-    jidx[:], ridx[:] = gj, gr
-    n_new = np.zeros(n_paths, dtype=np.int64)
-    inserted = {}
-    if chains:
-        # every chain's switch times at once, in path order, each with its path
-        own = np.fromiter(chains, np.int64, len(chains))
-        sw = t0 + np.concatenate([chain.switch_times for chain in chains.values()])
-        of = np.repeat(own, [chain.switch_times.size for chain in chains.values()])
-        at = np.searchsorted(grid, sw)
-        keep = grid[np.minimum(at, grid.size - 1)] != sw
-        keep[1:] &= (sw[1:] != sw[:-1]) | (of[1:] != of[:-1])
-        sw, at, of = sw[keep], at[keep], of[keep]
-        n_new += np.bincount(of, minlength=n_paths)
-        # a path's columns move on by its switch times inserted at or before
-        # them: one sorted search, each path's columns offset past the last's
-        key, off = at + (grid.size + 1) * of, (grid.size + 1) * rows[:, None]
-        before = np.searchsorted(key, off, side="left")
-        jidx += np.searchsorted(key, off + gj, side="right") - before
-        ridx += np.searchsorted(key, off + gr, side="right") - before
-        for p, lo, hi in zip(own.tolist(), np.searchsorted(of, own).tolist(),
-                             np.searchsorted(of, own, side="right").tolist()):
-            if lo < hi:
-                inserted[p] = (at[lo:hi], sw[lo:hi])
-    steps = grid.size - 1 + n_new
-    width = int(steps.max())
-    at_cols[:, -1] = steps
-    # segment s of path p covers columns starts[p, s] up to ends[p, s]
-    ends = np.empty_like(starts)
-    ends[:, :-1] = jidx
-    ends[:, -1] = width + 1
+    def __init__(self, spec: SystemSpec, span: float, ys: list, streams, n_jumps: int):
+        self.spec, self.chains, self.saved = spec, {}, {}
+        held, n = 0, len(streams)
+        for p, (y, bundle) in enumerate(zip(ys, streams)):
+            t = _holding_time(spec.xi_chain, y, bundle.chain)
+            if t < span:
+                chain = self.chains[p] = sample_ctmc(spec.xi_chain, y, span, bundle.chain, first=t)
+                held += 48 * chain.switch_times.size
+                if held > _WORK_BYTES:
+                    n = p + 1
+                    break
+        self.n, self.streams = n, streams[:n]
+        self.gens = [bundle.wiener for bundle in self.streams]
+        self.u_mark = np.empty((n, n_jumps))
 
-    # a chunk is paths rows[sel] over columns a..b (see simulate_batch); the
-    # groups keep their products while all kept so far, with the block's
-    # state at each jump, fit twice the budget
-    additive = _additive(spec)
-    summarized = _summarized(spec, collect_path)
-    limit = max(1, _WORK_BYTES // (128 * dim))
-    group = max(1, limit // width)
-    held = n_paths * _jump_bytes(n_jumps, rec.size, dim, summarized)
-    chunks = []
-    for lo in range(0, n_paths, group):
-        sel = slice(lo, lo + group)
-        n = int(steps[sel].max())
-        held += rows[sel].size * _kept_bytes(n, dim, additive)
-        chunks += [(sel, a, min(a + limit, n), held <= 2 * _WORK_BYTES)
-                   for a in range(0, n, limit)]
+    def save(self, paths) -> None:
+        """Save each path's generator state, before its first normal."""
+        self.saved.update((p, self.gens[p].bit_generator.state) for p in paths)
 
-    def grid_of(p):
+    def normals(self, paths: list, ns: list, width: int, again: bool = False) -> np.ndarray:
+        """The next ``ns[i]`` normals of each path ``paths[i]``, in rows of
+        ``width`` steps padded with 0; ``again`` starts them from the first."""
+        z = (np.empty if min(ns) == width else np.zeros)((len(ns), width, self.spec.dim))
+        for i, (p, n) in enumerate(zip(paths, ns)):
+            if again:
+                bit_gen = copy.copy(self.gens[p].bit_generator)
+                bit_gen.state = self.saved[p]
+                self.gens[p] = np.random.Generator(bit_gen)
+            self.gens[p].standard_normal(out=z[i, :n])
+        return z
+
+    def marks(self, paths: list) -> None:
+        """Draw each path's mark uniforms, after its last normals."""
+        for p in paths:
+            self.streams[p].mark.random(out=self.u_mark[p])
+
+    def mark_path(self, h: np.ndarray, jump_ks: np.ndarray) -> np.ndarray:
+        """Each path's mark before the window's jumps, then after each one."""
+        marks = sample_dtmc_step(self.spec.eta_chain, h, jump_ks, self.u_mark)
+        del self.u_mark
+        return np.column_stack((h, marks))
+
+
+def _step_factors(tables: tuple, regimes, dt, z, additive: bool) -> tuple:
+    """Euler's factors ``1 + a dt + b sqrt(dt) Z`` and additive parts (None
+    unless ``additive``) of steps of length ``dt`` in ``regimes``, with
+    normals ``z`` (coordinates last), from :func:`_coeff_tables`.  A padding
+    step, of length 0, has factor 1 and part 0 in any regime, for any normal."""
+    a_lin, b_lin, a_con, b_con = tables
+    sq = np.sqrt(dt)
+    ri = regimes - 1
+    m_fac = 1.0 + (a_lin[ri] * dt)[..., None] + (b_lin[ri] * sq)[..., None] * z
+    u_add = None
+    if additive:
+        u_add = (a_con[ri] * dt)[..., None] + (b_con[ri] * sq)[..., None] * z
+    return m_fac, u_add
+
+
+class _BlockGrid:
+    """A block's step grids, each path's columns on its own, and its chunks.
+
+    The shared grid is the base grid plus the record times; a path's own
+    grid also holds its switch times, inserted where they are not on it.
+    Per path, ``at_cols`` holds each segment's first column (``starts``: 0,
+    then each jump's, ``jidx``), then those of the states returned
+    (``out_cols``: each record time's, ``ridx``, then the last, ``steps``).
+    A step starting at ``b`` is in the regime of the last switch ``s`` with
+    ``s <= fl(b - t0)``, so each switch acts from one column, found here.
+    A chunk is paths ``rows[sel]`` over columns ``a..b``: a group of as many
+    whole paths as ``_WORK_BYTES`` holds of work arrays at the widest, or one
+    path over a range of its steps; its group keeps its products while all
+    kept so far, with the block's state at each jump, fit twice the budget.
+    """
+
+    def __init__(self, spec: SystemSpec, t0: float, base, base_jidx, jump_times, rec, y, chains,
+                 summarized: bool):
+        n_paths, n_jumps = y.size, jump_times.size
+        rows = np.arange(n_paths)
+        grid, gj = base, base_jidx
+        if rec.size:  # a window without record times does not sort its grid again
+            grid = np.unique(np.concatenate((base, rec)))
+            gj = np.searchsorted(grid, jump_times)
+        gr = np.searchsorted(grid, rec)
+        self.t0, self.grid, self.y, self.chains = t0, grid, y, chains
+        self.at_cols = at_cols = np.zeros((n_paths, n_jumps + rec.size + 2), dtype=np.int64)
+        self.starts, self.jidx = at_cols[:, : n_jumps + 1], at_cols[:, 1 : n_jumps + 1]
+        self.ridx, self.out_cols = at_cols[:, n_jumps + 1 : -1], at_cols[:, n_jumps + 1 :]
+        self.jidx[:], self.ridx[:] = gj, gr
+        # path p's switches are sw_ptr[p] up to sw_ptr[p + 1] of the columns
+        # they act from and the states they set; those inserted in its grid
+        # are kept with their path, the point they go before and their time
+        self.sw_ptr = np.zeros(n_paths + 1, dtype=np.int64)
+        self.sw_col = self.sw_state = self.own = self.ins_of = self.ins_at = np.empty(0, np.int64)
+        self.ins_sw = np.empty(0)
+        if chains:
+            rel = np.concatenate([chain.switch_times for chain in chains.values()])
+            self.sw_state = np.concatenate([chain.states[1:] for chain in chains.values()])
+            own = np.fromiter(chains, np.int64, len(chains))
+            self.sw_ptr[own + 1] = sizes = [chain.switch_times.size for chain in chains.values()]
+            mine = np.cumsum(self.sw_ptr, out=self.sw_ptr).tolist()
+            sw, of = t0 + rel, np.repeat(own, sizes)
+            at = np.searchsorted(grid, sw)
+            keep = grid[np.minimum(at, grid.size - 1)] != sw
+            keep[1:] &= (sw[1:] != sw[:-1]) | (of[1:] != of[:-1])
+            self.ins_sw, self.ins_at, self.ins_of = sw, at, of = sw[keep], at[keep], of[keep]
+            # a path's columns move on by its switch times inserted at or before
+            # them: one sorted search, each path's columns offset past the last's
+            key, off = at + (grid.size + 1) * of, (grid.size + 1) * rows[:, None]
+            before = np.searchsorted(key, off, side="left")
+            self.jidx += np.searchsorted(key, off + gj, side="right") - before
+            self.ridx += np.searchsorted(key, off + gr, side="right") - before
+            # a switch's column counts the points of its path's grid, shared
+            # and inserted, whose fl(b - t0) is short of it
+            self.sw_col = np.searchsorted(grid - t0, rel)
+            ins = np.searchsorted(of, np.arange(n_paths + 1))
+            self.own, ins = np.flatnonzero(np.diff(ins)), ins.tolist()
+            for p in self.own.tolist():
+                k = slice(mine[p], mine[p + 1])
+                self.sw_col[k] += np.searchsorted(sw[ins[p] : ins[p + 1]] - t0, rel[k])
+        self.steps = steps = grid.size - 1 + np.bincount(self.ins_of, minlength=n_paths)
+        self.width = width = int(steps.max())
+        at_cols[:, -1] = steps
+        # segment s of path p covers columns starts[p, s] up to ends[p, s]
+        self.ends = np.concatenate((self.jidx, np.full((n_paths, 1), width + 1)), axis=1)
+        limit = max(1, _WORK_BYTES // (128 * spec.dim))
+        group = max(1, limit // width)
+        held = n_paths * _jump_bytes(n_jumps, rec.size, spec.dim, summarized)
+        self.chunks = []
+        for lo in range(0, n_paths, group):
+            sel = slice(lo, lo + group)
+            n = int(steps[sel].max())
+            held += rows[sel].size * _kept_bytes(n, spec.dim, _additive(spec))
+            self.chunks += [(sel, a, min(a + limit, n), held <= 2 * _WORK_BYTES)
+                            for a in range(0, n, limit)]
+        # the paths that may draw their normals again, as saving every one's
+        # state slows short windows: in a group whose products are not kept,
+        # or walked over several chunks (a walk in one takes its factors there)
+        self.redrawn = [p for sel, a, b, keep in self.chunks if a or not keep
+                        for p in rows[sel].tolist()]
+
+    def grid_of(self, p: int) -> np.ndarray:
         """Path ``p``'s own step grid."""
-        if p not in inserted:
-            return grid
-        at, sw = inserted[p]
+        lo, hi = np.searchsorted(self.ins_of, (p, p + 1)).tolist()
+        if lo == hi:
+            return self.grid
         # switch time i goes before grid point at[i], so i places further on
-        pos = at + np.arange(at.size)
-        out = np.empty(grid.size + at.size)
-        out[pos] = sw
+        pos = self.ins_at[lo:hi] + np.arange(hi - lo)
+        out = np.empty(self.grid.size + pos.size)
+        out[pos] = self.ins_sw[lo:hi]
         on_grid = np.ones(out.size, dtype=bool)
         on_grid[pos] = False
-        out[on_grid] = grid
+        out[on_grid] = self.grid
         return out
 
-    def bounds_of(sel, a, b):
+    def bounds_of(self, sel: slice, a: int, b: int) -> np.ndarray:
         """Columns ``a..b`` of the grids of paths ``rows[sel]``, each padded
         with its end point; one shared row when none has a switch inserted.
         A lone path needs no padding: its chunks end by its last column."""
-        lo, hi = sel.indices(n_paths)[:2]
+        lo, hi = sel.indices(self.y.size)[:2]
         if hi - lo == 1:
-            return grid_of(lo)[None, a : b + 1]
-        own = [p for p in inserted if lo <= p < hi]
+            return self.grid_of(lo)[None, a : b + 1]
+        own = self.own[slice(*np.searchsorted(self.own, (lo, hi)))].tolist()
         if not own:
-            return grid[None, a : b + 1]
-        bnd = np.full((hi - lo, b - a + 1), grid[-1])
-        part = grid[a : b + 1]
+            return self.grid[None, a : b + 1]
+        bnd = np.full((hi - lo, b - a + 1), self.grid[-1])
+        part = self.grid[a : b + 1]
         bnd[:, : part.size] = part
         for p in own:
-            part = grid_of(p)[a : b + 1]
+            part = self.grid_of(p)[a : b + 1]
             bnd[p - lo, : part.size] = part
             bnd[p - lo, part.size :] = part[-1]
         return bnd
 
-    tab_a_lin, tab_b_lin, tab_a_con, tab_b_con = _coeff_tables(spec)
+    def steps_of(self, sel: slice, a: int, b: int) -> tuple:
+        """The regimes and lengths of steps ``a..b-1`` of paths ``rows[sel]``;
+        padding past a path's last step may take any regime."""
+        bnd = self.bounds_of(sel, a, b)
+        lo, hi = sel.indices(self.y.size)[:2]
+        out = np.empty((hi - lo, b - a), dtype=np.int64)
+        out[:] = self.y[lo:hi, None]
+        k0, k1 = self.sw_ptr[lo], self.sw_ptr[hi]
+        # a switch's state runs from its column on, up to a later switch's
+        if k0 < k1:
+            of = np.repeat(np.arange(hi - lo), np.diff(self.sw_ptr[lo : hi + 1]))
+            cols = np.maximum(self.sw_col[k0:k1] - a, 0)
+            for r, c, state in zip(of.tolist(), cols.tolist(), self.sw_state[k0:k1].tolist()):
+                out[r, c:] = state
+        return out, bnd[:, 1:] - bnd[:, :-1]
 
-    def factors(sel, a, b, gens):
-        """Regimes, step factors and additive parts of steps ``a..b-1`` of
-        paths ``rows[sel]``, with normals from ``gens`` drawn in place;
-        zero-length padding steps keep the starting regime and take normal 0."""
-        bnd = bounds_of(sel, a, b)
-        regimes = np.empty((rows[sel].size, b - a), dtype=np.int64)
-        regimes[:] = y[sel][:, None]
-        ns = (np.minimum(steps[sel], b) - a).tolist()
-        z = (np.empty if min(ns) == b - a else np.zeros)((len(ns), b - a, dim))
-        for i, (p, n) in enumerate(zip(rows[sel].tolist(), ns)):
-            if p in chains:
-                # a step takes the state of the last switch at or before its
-                # start, so each switch's state runs from the first step that
-                # starts at or after it
-                chain = chains[p]
-                cols = np.searchsorted(bnd[min(i, len(bnd) - 1), :n] - t0,
-                                       chain.switch_times).tolist()
-                for state, lo, hi in zip(chain.states[1:].tolist(), cols, cols[1:] + [n]):
-                    regimes[i, lo:hi] = state
-            gens[p].standard_normal(out=z[i, :n])
-        dt = bnd[:, 1:] - bnd[:, :-1]
-        sq = np.sqrt(dt)
-        ri = regimes - 1
-        m_fac = 1.0 + (tab_a_lin[ri] * dt)[..., None] + (tab_b_lin[ri] * sq)[..., None] * z
-        u_add = None
-        if additive:
-            u_add = (tab_a_con[ri] * dt)[..., None] + (tab_b_con[ri] * sq)[..., None] * z
-        return regimes, m_fac, u_add
+    def regime_at(self, cols) -> np.ndarray:
+        """Each path's regime at column ``cols[p]`` of its grid."""
+        of = np.repeat(np.arange(self.y.size), np.diff(self.sw_ptr))
+        n_hit = np.bincount(of[self.sw_col <= cols[of]], minlength=self.y.size)
+        out, hit = self.y.copy(), n_hit > 0
+        out[hit] = self.sw_state[self.sw_ptr[:-1][hit] + n_hit[hit] - 1]
+        return out
 
-    # inside a segment [lo, hi] between impulses x(j) = P[j]/P[lo] * x(lo)
-    # + P[j] * (S[j] - S[lo]), with P the running product of the step factors
-    # and S the running sum of the additive parts over P; a chunk holds
-    # columns a..b, column a carrying P and S on from the chunk before
-    def products(m_fac, u_add, a, carry):
-        prod = np.empty((m_fac.shape[0], m_fac.shape[1] + 1, dim))
-        prod[:, 0] = carry[0]
-        if a:
-            m_fac[:, 0] *= carry[0]
-        np.cumprod(m_fac, axis=1, out=prod[:, 1:])
-        cum = None
-        if u_add is not None:
-            q = u_add / prod[:, 1:]
-            if a:
-                q[:, 0] += carry[1]
-            cum = np.empty_like(prod)
-            cum[:, 0] = carry[1]
-            np.cumsum(q, axis=1, out=cum[:, 1:])
-        return prod, cum
 
-    gens = [st.wiener for st in streams]
-    # only a path that may draw its normals again saves its state, as saving
-    # every one slows short windows: a path in a group whose products are not
-    # kept, or walked over several chunks; a walk in one chunk takes its factors there
-    replay = {p: gens[p].bit_generator.state
-              for sel, a, b, keep in chunks if a or not keep for p in rows[sel].tolist()}
+def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, y, h, draws,
+               collect_path) -> BatchResult:
+    """One block of :func:`simulate_batch`, drawing from ``draws``."""
+    n_paths, dim = x.shape
+    n_jumps = jump_times.size
+    rows = np.arange(n_paths)
+    additive = _additive(spec)
+    summarized = _summarized(spec, collect_path)
+    grid = _BlockGrid(spec, t0, base, base_jidx, jump_times, rec, y, draws.chains, summarized)
+    starts, jidx, ridx, out_cols, ends = grid.starts, grid.jidx, grid.ridx, grid.out_cols, grid.ends
+    steps, width = grid.steps, grid.width
 
-    def replayed(p):
-        """A generator in path ``p``'s state before its first normal."""
-        bit_gen = copy.copy(gens[p].bit_generator)
-        bit_gen.state = replay[p]
-        return np.random.Generator(bit_gen)
+    def factors(sel, a, b, again=False):
+        """Step factors and additive parts of steps ``a..b-1`` of paths
+        ``rows[sel]``; ``again`` draws their normals again from the first."""
+        z = draws.normals(rows[sel].tolist(), (np.minimum(steps[sel], b) - a).tolist(), b - a,
+                          again)
+        return _step_factors(_coeff_tables(spec), *grid.steps_of(sel, a, b), z, additive)
 
-    # first pass: regimes, products and sums at the jumps, and the extremes
-    # of each path's products; a summarized path also keeps its products at
-    # the columns of the states it returns, and its largest |product| in
-    # each segment, its start's included
-    cols = at_cols[:, 1:] if summarized else jidx
+    draws.save(grid.redrawn)
+
+    # first pass: products and sums at the jumps, and the extremes of each
+    # path's products; a summarized path also keeps its products at the
+    # columns of the states it returns, and its largest |product| in each
+    # segment, its start's included
+    cols = grid.at_cols[:, 1:] if summarized else jidx
     p_cols = np.empty((n_paths, 1 + cols.shape[1], dim))
     p_cols[:, 0] = 1.0
     p_start = p_cols[:, : n_jumps + 1]
     c_start = np.zeros((n_paths, n_jumps + 1, dim)) if additive else None
     needs_walk = np.zeros(n_paths, dtype=bool)
-    u_mark = np.empty((n_paths, n_jumps))
     if summarized:
         seg_max = np.zeros((n_paths, n_jumps + 1))
 
-    def first_pass(sel, a, b, carry):
-        regimes, m_fac, u_add = factors(sel, a, b, gens)
+    def first_pass(sel, a, b, before):
+        m_fac, u_add = factors(sel, a, b)
         # a path's window's mark uniforms, in one call, after its last normals
-        for p in rows[sel][steps[sel] <= b].tolist():
-            streams[p].mark.random(out=u_mark[p])
-        prod, cum = products(m_fac, u_add, a, carry)
+        draws.marks(rows[sel][steps[sel] <= b].tolist())
+        prod, cum = _products(m_fac, u_add, a, before)
         # |prod|, then one 0, where each segment that starts past b points
         flat = np.empty(prod.size + 1)
         flat[-1] = 0.0
@@ -946,27 +982,20 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
             np.maximum(seg_max[sel], most, out=seg_max[sel], where=(st <= b) & (ends[sel] > a))
         return m_fac, u_add, prod, cum
 
-    kept, chunk_of = [], {}
-    for sel, a, b, keep in chunks:
-        m_fac, u_add, *part = first_pass(sel, a, b, (1.0, 0.0) if a == 0 else _last(part))
+    kept, chunk_of, part = [], {}, None
+    for sel, a, b, keep in grid.chunks:
+        m_fac, u_add, *part = first_pass(sel, a, b, part)
         kept.append(part if keep else None)
         chunk_of.update((sel.start + i, (m_fac, u_add, i)) for i in needs_walk[sel].nonzero()[0])
     walked = {}
     for p in needs_walk.nonzero()[0].tolist():
-        m_fac, u_add, i = chunk_of[p] if p not in replay else \
-            (*factors(slice(p, p + 1), 0, int(steps[p]), {p: replayed(p)})[1:], 0)
+        m_fac, u_add, i = chunk_of[p] if p not in draws.saved else \
+            (*factors(slice(p, p + 1), 0, int(steps[p]), again=True), 0)
         walked[p] = (np.zeros((steps[p] + 1, dim)), m_fac[i], None if u_add is None else u_add[i])
 
-    # every path's marks through all the window's jumps, in one draw, and
-    # each path's gain at each jump: by its mark there, where the maps have
-    # one per mark (see JumpFamily.coefficients)
-    h_hist = np.empty((n_paths, n_jumps + 1), dtype=np.int64)
-    h_hist[:, 0] = h
-    h_hist[:, 1:] = sample_dtmc_step(spec.eta_chain, h, jump_ks, u_mark)
-    gain, offset = _impulse_table(spec, t0, t1, jump_ks)
-    if gain is not None:
-        gain = (gain[np.arange(n_jumps)[:, None], h_hist[:, 1:].T - 1] if gain.shape[1] > 1
-                else gain)[..., None]
+    # every path's marks through all the window's jumps, in one draw
+    h_hist = draws.mark_path(h, jump_ks)
+    gain, offset = _impulse_table(spec, t0, t1, jump_ks, h_hist[:, 1:])
     phi = spec.jump.phi
 
     # impulses in time order, on every path: a path's draws come from its own
@@ -1005,7 +1034,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
     for p, (walk, m_row, u_row) in walked.items():
         _walk(walk, m_row, u_row, starts[p, -1], steps[p], x_cur[p])
     x_start, x_pre, x_post = (v.transpose(1, 0, 2) for v in (x_start, x_pre, x_post))
-    del ratio, shift, gain, u_mark  # the loop's own arrays, before the states' arrays
+    del ratio, shift, gain  # the loop's own arrays, before the states' arrays
 
     # a path stops at its first norm over the threshold, in a lone path's
     # order: a segment's steps, the pre-jump state, the post-jump state
@@ -1054,11 +1083,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
 
     def second_pass(sel, a, b, prod_cum, before):
         if prod_cum is None:
-            if a == 0:
-                for p in rows[sel].tolist():
-                    gens[p] = replayed(p)
-            prod_cum = products(*factors(sel, a, b, gens)[1:], a,
-                                (1.0, 0.0) if a == 0 else _last(before))
+            prod_cum = _products(*factors(sel, a, b, again=a == 0), a, before)
         prod, cum = prod_cum
         r = rows[sel]
         st = starts[sel]
@@ -1093,7 +1118,7 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         return prod_cum
 
     before = None
-    for i, (sel, a, b, _) in enumerate(chunks):
+    for i, (sel, a, b, _) in enumerate(grid.chunks):
         if redo[sel].any():
             before = second_pass(sel, a, b, kept[i], before)
         kept[i] = None
@@ -1118,51 +1143,44 @@ def _integrate(spec, cfg, t0, t1, base, jump_times, jump_ks, base_jidx, rec, x, 
         else:
             stop[p], x_end[p], sup[p] = jidx[p, s], x_post[p, s], post_norms[p, s]
             n_applied[p] = s + 1
-        t_stop[p] = grid_of(p)[stop[p]]
+        t_stop[p] = grid.grid_of(p)[stop[p]]
         if X_all is not None:
             X_all[p, stop[p]] = x_end[p]
-
-    y_end = np.array(y)
-    for p, chain in chains.items():
-        y_end[p] = chain.state_at((t_stop[p] if exploded[p] else t1) - t0)
 
     # an exploded path contributes no statistics at or past its stop
     rec_alive = ridx <= (stop - exploded)[:, None]
     rec_values = np.where(rec_alive[..., None], rec_raw, np.nan)
     paths = None
     if collect_path:
-        paths = []
-        for p in range(n_paths):
-            bnd, chain = grid_of(p), chains.get(p)
-            if chain is None:
-                regimes, switch_abs = np.full(steps[p], y[p]), ()
-            else:
-                regimes, switch_abs = chain.state_at(bnd[:-1] - t0), t0 + chain.switch_times
-            paths.append(_collect_path(bnd, X_all[p], regimes, jidx[p], jump_ks, switch_abs,
-                                       int(stop[p]), cfg.record_stride, ridx[p]))
-    return BatchResult(
-        x_end=x_end,
-        y_end=y_end,
-        h_end=h_hist[rows, n_applied],
-        exploded=exploded,
-        explosion_time=t_stop,
-        sup_norm=sup,
-        jump_times=jump_times,
-        jump_ks=jump_ks,
-        n_jumps=n_applied,
-        marks=h_hist[:, 1:],
-        x_before=x_pre,
-        x_after=x_post,
-        record_values=rec_values,
-        record_alive=rec_alive,
-        paths=paths,
-    )
+        paths = [_collect_path(grid, p, X_all[p], jump_ks, int(stop[p]), cfg.record_stride)
+                 for p in range(n_paths)]
+    return BatchResult(x_end=x_end, y_end=grid.regime_at(stop), h_end=h_hist[rows, n_applied],
+                       exploded=exploded, explosion_time=t_stop, sup_norm=sup,
+                       jump_times=jump_times, jump_ks=jump_ks, n_jumps=n_applied,
+                       marks=h_hist[:, 1:], x_before=x_pre, x_after=x_post,
+                       record_values=rec_values, record_alive=rec_alive, paths=paths)
 
 
-def _last(prod_cum):
-    """The carry for the next chunk: the last column of a chunk's products and sums."""
-    prod, cum = prod_cum
-    return prod[:, -1].copy(), None if cum is None else cum[:, -1].copy()
+def _products(m_fac, u_add, a, before):
+    """Running products P of the step factors and sums S of the additive
+    parts over P (None without them) on a chunk of columns a..b, so that
+    x(j) = P[j]/P[lo] * x(lo) + P[j] * (S[j] - S[lo]) inside a segment
+    [lo, hi]; column a carries them on from ``before``, the chunk before."""
+    carry = (1.0, 0.0) if a == 0 else [v if v is None else v[:, -1] for v in before]
+    prod = np.empty((m_fac.shape[0], m_fac.shape[1] + 1, m_fac.shape[2]))
+    prod[:, 0] = carry[0]
+    if a:
+        m_fac[:, 0] *= carry[0]
+    np.cumprod(m_fac, axis=1, out=prod[:, 1:])
+    cum = None
+    if u_add is not None:
+        q = u_add / prod[:, 1:]
+        if a:
+            q[:, 0] += carry[1]
+        cum = np.empty_like(prod)
+        cum[:, 0] = carry[1]
+        np.cumsum(q, axis=1, out=cum[:, 1:])
+    return prod, cum
 
 
 def _walk(X, m_fac, u_add, lo, hi, x_lo):
@@ -1192,18 +1210,20 @@ def _norms(v, pointwise=False):
     return np.linalg.norm(v, axis=-1)
 
 
-def _collect_path(bounds, X, regimes, jump_idx, jump_ks, switch_abs, stop_idx, stride, extra):
-    n = bounds.size - 1
+def _collect_path(grid: _BlockGrid, p: int, X, jump_ks, stop_idx: int, stride: int) -> tuple:
+    """Path ``p``'s samples up to its stop: every ``stride``-th, and its events'."""
+    bounds, n, chain = grid.grid_of(p), int(grid.steps[p]), grid.chains.get(p)
+    regimes = grid.steps_of(slice(p, p + 1), 0, n)[0][0]
     keep = set(range(0, stop_idx + 1, stride))
     keep.add(stop_idx)
-    keep.update(int(i) for i in extra if i <= stop_idx)
+    keep.update(int(i) for i in grid.ridx[p] if i <= stop_idx)
     labels = {}
-    for ji, k in zip(jump_idx, jump_ks):
+    for ji, k in zip(grid.jidx[p], jump_ks):
         ji = int(ji)
         if ji <= stop_idx:
             keep.add(ji)
             labels[ji] = f"jump:{int(k)}"
-    for si in np.searchsorted(bounds, switch_abs):
+    for si in np.searchsorted(bounds, () if chain is None else grid.t0 + chain.switch_times):
         si = int(si)
         if si <= stop_idx:
             keep.add(si)
@@ -1314,9 +1334,8 @@ def simulate_ensemble(
     per_path_sq = np.full((n_paths, rec.size), np.nan)
     sups_all = np.empty(n_paths)
     n_exploded = 0
-    # one block per batch, sized as the integrator sizes them; a block's
-    # stream bundles live until its batch ends, and a summarized block
-    # counts them
+    # one block per batch, sized as the integrator sizes them: a block's
+    # stream bundles live until its batch ends, and _jump_bytes counts them
     base, jump_times = _base_boundaries(spec.realization(), 0.0, horizon, cfg.dt_max)[:2]
     block = _plan(spec, base.size - 1 + rec.size, jump_times.size, rec.size, False)
     for lo in range(0, n_paths, block):

@@ -212,6 +212,13 @@ def test_invalid_configs_raise():
         simulate_path(spec, IntegratorConfig(), -1.0, 0, RngPolicy(0))
 
 
+@pytest.mark.parametrize("stride", [2.5, 1e1, 0])
+def test_record_stride_that_is_not_a_count_is_refused_at_construction(stride):
+    # a float stride would run the whole window, then fail collecting it
+    with pytest.raises(ConfigInvalid, match="record_stride"):
+        IntegratorConfig(record_stride=stride)
+
+
 # ---------------------------------------------------------------------------
 # batch kernel: a path's bits do not depend on the batch it runs in
 # ---------------------------------------------------------------------------
@@ -674,7 +681,7 @@ def test_block_widened_by_a_fast_regime_chain_stays_near_the_budget():
 
 
 def test_block_of_fast_chains_ends_where_their_switch_times_pass_the_budget(monkeypatch):
-    # about 500 switch times a path: a quarter-MiB budget holds those of 16
+    # about 500 switch times a path: a quarter-MiB budget holds those of 11
     # paths, though _plan's block, sized by its paths' summaries, holds 165
     preset = build_preset("case2")
     preset["xi_generator"] = {"q": [[-1e4, 1e4], [1e4, -1e4]]}
@@ -717,6 +724,25 @@ def test_ensemble_of_many_short_paths_holds_its_bundles_within_the_budget():
     finally:
         tracemalloc.stop()
     # one block of the 3,000 paths would hold about 9 MB of them
+    assert peak < 4 * simulate._WORK_BYTES
+
+
+def test_ensemble_of_many_short_two_dimensional_paths_holds_its_bundles_within_the_budget():
+    # a window of more than one coordinate is not summarized, and its blocks
+    # count each path's 3 kB of stream bundle and saved generator state too:
+    # 8,000 paths of 10 steps run in blocks of 624, not of 7,281
+    spec = _dim2_spec()
+    cfg = IntegratorConfig()
+    rec = np.array([0.01])
+    assert _window_plan(spec, 0.0, 0.01, cfg.dt_max, rec.size) == 2 ** 21 // (192 + 96 + 3072)
+    simulate_ensemble(spec, cfg, 0.01, 20, RngPolicy(5), record_times=rec)
+    tracemalloc.start()
+    try:
+        simulate_ensemble(spec, cfg, 0.01, 8000, RngPolicy(5), record_times=rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of the 8,000 paths would hold about 24 MB of them
     assert peak < 4 * simulate._WORK_BYTES
 
 
@@ -950,29 +976,32 @@ def test_plan_of_nested_criterion_03_full_horizon_and_prob_probe_windows():
     case1 = spec_from_dict(build_preset("case1"))
     assert _window_plan(case1, 0.0, 1.99, 1e-3, 1) == 187
 
-    # collected paths keep their products within twice the budget; their
-    # chunks are groups of as many whole paths as 8,192 steps hold
-    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0, True) == 4946  # groups of 240
-    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1, True) == 259  # in groups of 8
-    # 37 paths' products kept, each path its own chunk
-    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size, True) == 37
-    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1, True) == 88  # in groups of 3
+    # collected paths keep their products within twice the budget, with
+    # their state at each jump and 3 kB of stream bundle and saved generator
+    # state each; their chunks are groups of as many whole paths as 8,192
+    # steps hold
+    assert _window_plan(case2, 1.8, 2.0 - 1.0 / 6.0, 1e-3, 0, True) \
+        == 2 ** 21 // (35 * 8 + 2 * 72 + 3072) == 599  # groups of 240
+    assert _window_plan(make_spec(), 0.0, 1.0, 1e-3, 1, True) == 187  # in groups of 8
+    # 35 paths' products kept, each path its own chunk
+    assert _window_plan(case2, 0.0, 5.0, 1e-3, MEANSQ_GRID.size, True) == 35
+    assert _window_plan(case1, 0.0, 1.99, 1e-3, 1, True) == 78  # in groups of 3
     # at dt_max = 1e-4 the 50,108-step window keeps 5 paths' products, each
     # path in chunks of 8,192 steps: their 250,540 steps redrawn would cost
     # more than 200 more loop iterations
     assert _window_plan(case2, 0.0, 5.0, 1e-4, MEANSQ_GRID.size, True) == 5
     # so do paths with an additive part or more than one coordinate
-    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1) < 88
+    assert _window_plan(_additive_spec(), 0.0, 1.99, 1e-3, 1) < 78
     dim2 = _dim2_spec()
     # 2 kept paths of 50,000 steps hold 200 steps per jump of 500, enough;
     # per jump of 1,000 they are too few: blocks are as many paths as the
-    # budget holds of their per-jump state (96 bytes a jump), and the rest
-    # draw again
+    # budget holds of their per-jump state (96 bytes a jump, and 3 kB), and
+    # the rest draw again
     assert simulate._plan(dim2, 50_000, 500, 0, False) == 2
     assert simulate._plan(dim2, 50_000, 1000, 0, False) \
-        == simulate._WORK_BYTES // (1001 * 96) == 10
+        == simulate._WORK_BYTES // (1001 * 96 + 3072) == 10
     # one path's products past twice the budget: its normals are drawn again
-    assert simulate._plan(dim2, 150_000, 0, 0, False) == simulate._WORK_BYTES // 96
+    assert simulate._plan(dim2, 150_000, 0, 0, False) == simulate._WORK_BYTES // (96 + 3072)
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["products", "walked"])
@@ -1323,3 +1352,98 @@ def test_boundary_cache_is_bounded_by_bytes(monkeypatch):
     assert again is not grids[-1]
     for a, b in zip(again, grids[-1]):
         assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# kernel seams: the step-factor function and the block grid
+# ---------------------------------------------------------------------------
+
+def _digest_specs():
+    """The specs of tools/digest_outputs.py, built from this package."""
+    import importlib.util
+
+    import zenosde.cli
+    import zenosde.system
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "digest_outputs.py"
+    found = importlib.util.spec_from_file_location("digest_outputs", path)
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    return module.specs(zenosde)
+
+
+def test_a_zero_length_padding_step_has_factor_one_and_no_additive_part():
+    # a block pads its shorter grids with zero-length steps and runs one
+    # cumprod over them all, so such a step must leave a path as it is, in
+    # any regime and for any normal
+    z = np.concatenate((np.random.default_rng(3).standard_normal(50), [0.0, -0.0, 1e300, -1e300]))
+    for name, spec in _digest_specs().items():
+        regimes = np.repeat(np.arange(1, spec.n_regimes + 1), z.size).reshape(spec.n_regimes, -1)
+        normals = np.repeat(np.tile(z, spec.n_regimes)[:, None], spec.dim, axis=1)
+        m_fac, u_add = simulate._step_factors(simulate._coeff_tables(spec), regimes,
+                                              np.zeros(regimes.shape),
+                                              normals.reshape(*regimes.shape, spec.dim), True)
+        assert (m_fac == 1.0).all() and (u_add == 0.0).all(), name
+
+
+def _fast_chain_spec():
+    preset = build_preset("case2")
+    preset["xi_generator"] = {"q": [[-20.0, 20.0], [20.0, -20.0]]}
+    return spec_from_dict(preset)
+
+
+@pytest.mark.parametrize("t0,t1", [(1.0, 1.7), (1.3, 1.9), (1.5, 1.83), (3.0, 4.5)])
+def test_block_grid_regimes_are_the_chain_states_at_each_step_start(t0, t1):
+    # today's rule: a step starting at b is in the state of the chain's last
+    # switch s with s <= fl(b - t0), in every chunk of steps, at every
+    # column a path may stop at, and with switch times inserted or not
+    spec = _fast_chain_spec()
+    cfg = IntegratorConfig(dt_max=2e-3)
+    rec = np.array([t0, (t0 + t1) / 2, t1])
+    base, jump_times, _, base_jidx = simulate._base_boundaries(spec.realization(), t0, t1,
+                                                               cfg.dt_max)
+    y = np.array([1 + p % 2 for p in range(12)])
+    draws = simulate._Draws(spec, t1 - t0, y.tolist(),
+                            RngPolicy(7).aux_streams_batch(5, [(p,) for p in range(12)]),
+                            jump_times.size)
+    assert draws.n == 12 and len(draws.chains) >= 10
+    grid = simulate._BlockGrid(spec, t0, base, base_jidx, jump_times, rec, y, draws.chains, False)
+    states = {}
+    for p in range(12):
+        bounds = grid.grid_of(p)
+        chain = draws.chains.get(p)
+        states[p] = np.full(bounds.size, y[p]) if chain is None else chain.state_at(bounds - t0)
+    # a group of whole paths, and each path alone in chunks of its steps
+    regimes = grid.steps_of(slice(0, 12), 0, grid.width)[0]
+    for p in range(12):
+        n = int(grid.steps[p])
+        assert regimes[p, :n].tolist() == states[p][:n].tolist(), p
+        for a, b in [(0, n // 5), (n // 5, n // 2), (n // 2, n)]:
+            assert grid.steps_of(slice(p, p + 1), a, b)[0][0].tolist() \
+                == states[p][a:b].tolist(), (p, a, b)
+    for col in range(int(grid.steps.min()) + 1):
+        assert grid.regime_at(np.full(12, col)).tolist() == [states[p][col] for p in range(12)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a switch acts from the first step whose start b has fl(b - t0) >= s, and for about "
+    "half of switch times fl(fl(t0 + s) - t0) < s, so at t0 > 0 the step that starts at the "
+    "switch's own boundary often runs in the old regime, up to dt_max late; the fix moves "
+    "output bits on nested windows, so it waits for a tool_version bump"))
+def test_a_switch_inside_a_window_from_t0_above_zero_acts_from_its_own_boundary():
+    spec = spec_from_dict(build_preset("case2"))
+    cfg = IntegratorConfig()
+    t0, t1 = 1.3, 1.9
+    policy = RngPolicy(23)
+    keys = [(p,) for p in range(400)]
+    res = simulate_batch(spec, cfg, t0, t1, spec.x0, spec.y0, spec.h0,
+                         policy.aux_streams_batch(4, keys), collect_path=True)
+    late, boundaries = 0, 0
+    for (times, _, regimes, _), bundle in zip(res.paths, policy.aux_streams_batch(4, keys)):
+        chain = sample_ctmc(spec.xi_chain, spec.y0, t1 - t0, bundle.chain)
+        for s, state in zip(chain.switch_times.tolist(), chain.states[1:].tolist()):
+            row = int(np.searchsorted(times, t0 + s))
+            boundaries += 1
+            late += int(regimes[row] != state)
+    assert boundaries > 100
+    assert late == 0, f"{late} of {boundaries} switch boundaries carry the old regime"

@@ -44,6 +44,12 @@ The cases run at master seeds 0, 17 and 2**40 + 3:
   and every ``probe`` kind, and ``check`` on ``custom-sequence`` configs
   whose maps and ``l_seq``/``gamma_seq`` cover the schedule or stop short
   of it
+- ``simulate_batch`` with collected paths on the fast-chain, two-dimensional
+  and additive systems over the windows that start after 0, where a
+  collected path's regimes come from its switches' columns; and
+  ``simulate_ensemble`` of 700 paths over a short horizon on the
+  two-dimensional and additive systems, whose blocks count each path's
+  stream bundle
 
 ``--quick`` keeps one seed.  Floats are hashed by their exact bits; a case
 that raises is hashed by its exception's type and message.
@@ -99,6 +105,10 @@ EXPLICIT_SCHEDULES = (
 # backwards, some need a jump past the last kept one, and on explicit-kmax
 # [3, 5] the sweep also stops at t_6, which comes before t_3
 EXPLICIT_K_RANGES = ([1, 5, 8], [3, 5], [1, 6, 9, 10], [2], [8, 9])
+# collected batches over the windows that start after 0: spec names
+COLLECTED_SPECS = ("fast-chain", "dim2", "additive")
+# ensembles of many short paths: spec name, horizon, paths
+SHORT_ENSEMBLES = (("dim2", 0.01, 700), ("additive", 0.01, 700))
 # custom-sequence configs for check: name, number of maps, length of l_seq,
 # of gamma_seq (None leaves it out); case2 realizes 200 jumps
 CUSTOM_CONSTANTS = (("covered", 240, 240, 240), ("l-short", 240, 100, 240),
@@ -197,10 +207,7 @@ def batch_cases(z, all_specs, seeds):
                     for seed in seeds:
                         policy = simulate.RngPolicy(seed)
                         for kind in ("path", "aux"):
-                            if kind == "path":
-                                streams = [policy.path_streams(j) for j in range(n)]
-                            else:
-                                streams = policy.aux_streams_batch(6, [(j, 1) for j in range(n)])
+                            streams = bundles(policy, kind, n)
                             res = outcome(simulate.simulate_batch, spec, cfg, t0, t1, spec.x0, y,
                                           spec.h0, streams, record_times=rec)
                             if isinstance(res, simulate.BatchResult):
@@ -224,6 +231,36 @@ def batch_cases(z, all_specs, seeds):
                 if isinstance(res, simulate.BatchResult):
                     res = path_results(res, streams)
                 yield f"batch/default-{n}/{name}/0-5/{seed}/{kind}", res
+
+
+def bundles(policy, kind: str, n: int) -> list:
+    """``n`` paths' stream bundles of one kind: ``path`` or ``aux``."""
+    if kind == "path":
+        return [policy.path_streams(j) for j in range(n)]
+    return policy.aux_streams_batch(6, [(j, 1) for j in range(n)])
+
+
+def seam_cases(z, all_specs, seeds):
+    simulate = z.simulate
+    cfg = simulate.IntegratorConfig(dt_max=2e-3)
+    for name in COLLECTED_SPECS:
+        spec = all_specs[name]
+        y = [1 + j % spec.n_regimes for j in range(7)]
+        for t0, t1 in [w for w in WINDOWS if w[0] > 0]:
+            rec = np.array([t0, (t0 + t1) / 2, t1])
+            for seed in seeds:
+                for kind in ("path", "aux"):
+                    streams = bundles(simulate.RngPolicy(seed), kind, 7)
+                    res = outcome(simulate.simulate_batch, spec, cfg, t0, t1, spec.x0, y,
+                                  spec.h0, streams, record_times=rec, collect_path=True)
+                    if isinstance(res, simulate.BatchResult):
+                        res = path_results(res, streams)
+                    yield f"batch-collected/{name}/{t0:g}-{t1:g}/{seed}/{kind}", res
+    for name, horizon, n in SHORT_ENSEMBLES:
+        for seed in seeds:
+            yield (f"ensemble-short/{name}/{n}/{seed}",
+                   outcome(simulate.simulate_ensemble, all_specs[name], simulate.IntegratorConfig(),
+                           horizon, n, simulate.RngPolicy(seed)))
 
 
 def path_results(res, streams) -> dict:
@@ -412,7 +449,8 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         cases = itertools.chain(batch_cases(z, all_specs, seeds),
                                 model_cases(z, all_specs, seeds),
-                                small_cap_cases(z, all_specs, seeds), cli_cases(z, seeds))
+                                small_cap_cases(z, all_specs, seeds), cli_cases(z, seeds),
+                                seam_cases(z, all_specs, seeds))
         for case, value in cases:
             print(case, digest(value), flush=True)
     return 0
